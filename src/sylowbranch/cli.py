@@ -10,7 +10,8 @@ Commands:
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed partition or label,
-size mismatch), 3 element budget exceeded, 4 verification failure.
+size mismatch, p not a prime), 3 element budget exceeded, 4 verification
+failure.
 
 Partitions are written as comma-separated parts with optional power
 shorthand: "8,2,1^6".  Linear labels are dotted digit strings per tower
@@ -27,7 +28,6 @@ from . import closedform as cf
 from . import engine
 from . import tower as tw
 from . import verify as ver
-from .characters import sn_degree
 from .partitions import format_partition, parse_partition, partitions, sylow_shape
 
 USAGE_EXIT = 1
@@ -136,19 +136,7 @@ def cmd_classify(args):
     print("lambda\tengine\tpredicted\tcase\tstatus")
     mismatches = 0
     for la in partitions(n):
-        if p == 2:
-            out = cf.two_linear_classification(n, la)
-            cnt = len(engine.lin_constituents(la, 2))
-            if out.count == "1":
-                ok = cnt == 1
-            elif out.count == "2":
-                ok = cnt == 2
-            else:
-                ok = cnt > 2
-        else:
-            out = cf.odd_prime_classification(p, n, la)
-            cnt = engine.count_lin(la, p)
-            ok = cnt > p if out.count == ">p" else cnt == int(out.count)
+        out, cnt, ok = ver.check_classification(p, n, la)
         mismatches += not ok
         flag = "ok" if ok else "MISMATCH"
         print(f"{format_partition(la)}\t{cnt}\t{out.count}\t{out.case}\t{flag}")
@@ -157,7 +145,7 @@ def cmd_classify(args):
 
 
 def cmd_table(args):
-    name = {"thm13": "hook-grid"}.get(args.name, args.name)
+    name = ver.ALIASES.get(args.name, args.name)
     if name != "hook-grid":
         raise ValueError(f"unknown table {args.name!r} (available: hook-grid)")
     from .partitions import almost_hook
@@ -234,7 +222,7 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         import os
 
         os.environ["SYLOW_BRANCH_BUDGET"] = str(args.budget)

@@ -32,10 +32,10 @@ from .partitions import (
     in_box,
     in_exceptional_family,
     partitions,
+    sylow_shape,
     two_block_decompose,
-    two_block_pairs,
 )
-from .tower import hook_to_linear, linear_label, sgn_twist
+from .tower import hook_to_linear
 
 
 def window_base(y):
@@ -135,23 +135,18 @@ def _power_of(n, p):
     return k if n == 1 else None
 
 
-def _single(digits):
-    return ((tuple(digits)),)
-
-
 def _trivial_witness(n, p):
-    from .partitions import sylow_shape
-
     return tuple((0,) * h for h in sylow_shape(n, p))
 
 
 def _sign_witness(n):
-    from .partitions import sylow_shape
-
     return tuple(hook_to_linear(h, 2**h - 1) if h else () for h in sylow_shape(n, 2))
 
 
-_EIGHT_SPORADIC = {
+# The shapes of 8 other than the almost hook (4,2,1,1) with exactly two
+# linear constituents, each of multiplicity 1, by the hook coordinates y of
+# the two labels.
+EIGHT_SPORADIC = {
     (5, 3): (1, 2),
     (3, 3, 2): (2, 5),
     (2, 2, 2, 1, 1): (5, 6),
@@ -184,8 +179,8 @@ def two_linear_classification(n, la):
             return Outcome(
                 "2", "power-almost-hook", tuple((hook_to_linear(k, y),) for y in ys)
             )
-        if n == 8 and la in _EIGHT_SPORADIC:
-            ys = _EIGHT_SPORADIC[la]
+        if n == 8 and la in EIGHT_SPORADIC:
+            ys = EIGHT_SPORADIC[la]
             return Outcome(
                 "2", "eight-sporadic", tuple((hook_to_linear(3, y),) for y in ys)
             )

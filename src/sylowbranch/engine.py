@@ -44,10 +44,6 @@ _lin_memo = {}
 _stage_a_memo = {}
 
 
-def _rotations(tup):
-    return [tup[i:] + tup[:i] for i in range(len(tup))]
-
-
 def _twist_weights(p, c, d):
     """Stage A multiplicities of the p twists of a constant tuple."""
     weights = []
@@ -91,7 +87,7 @@ def _stage_a(la, p, k):
             d = ch.stretch_coefficient(la, mu, p)
             consts[mu] = (c, _twist_weights(p, c, d))
         else:
-            canonical = min(_rotations(mus))
+            canonical = min(tw.rotations(mus))
             if canonical not in classes:
                 classes[canonical] = c
     result = (classes, consts)
@@ -99,14 +95,57 @@ def _stage_a(la, p, k):
     return result
 
 
+def _check_size(la, p, k):
+    la = check_partition(la)
+    if sum(la) != p**k:
+        raise ValueError(f"|{la}| != {p}^{k}")
+    return la
+
+
+def _stage_b(tower, la, p, k, extend):
+    """Stage B up to the induced labels, shared by the full and linear paths.
+
+    tower is the per-factor function one level down (restrict_tower or
+    linear_tower) and extend(label, t) the label it twists into one level up.
+    Returns (acc, blocks): acc holds the twisted part -- the constant-label
+    tuples of the orbit classes and the symmetric-power split of the
+    constant tuples -- and blocks lists (c, factor vectors, constant) for
+    the full path to scatter over induced labels.
+    """
+    classes, consts = _stage_a(la, p, k)
+    acc = defaultdict(int)
+    blocks = []
+    for mus, c in classes.items():
+        parts = [tower(mu, p, k - 1) for mu in mus]
+        blocks.append((c, parts, False))
+        for lab, m in parts[0].items():
+            coeff = c * m
+            for other in parts[1:]:
+                coeff *= other.get(lab, 0)
+            if coeff:
+                for t in range(p):
+                    acc[extend(lab, t)] += coeff
+    for mu, (c, weights) in consts.items():
+        sub = tower(mu, p, k - 1)
+        if c:
+            blocks.append((c, [sub] * p, True))
+        for lab, m in sub.items():
+            counts = _sym_power_counts(p, m)
+            for t, w in enumerate(weights):
+                if not w:
+                    continue
+                for s in range(p):
+                    if counts[s]:
+                        acc[extend(lab, (t + s) % p)] += w * counts[s]
+    return acc, blocks
+
+
 def restrict_tower(la, p, k):
     """Full decomposition of la (a partition of p^k) over the tower labels.
 
     Returns a read-only dict label -> multiplicity, memoized on (p, k, la).
     """
-    la = check_partition(la)
-    if sum(la) != p**k:
-        raise ValueError(f"|{la}| != {p}^{k}")
+    la = _check_size(la, p, k)
     key = (p, k, la)
     hit = _full_memo.get(key)
     if hit is not None:
@@ -114,42 +153,20 @@ def restrict_tower(la, p, k):
     if k == 0:
         vec = {tw.LEAF: 1}
     else:
-        acc = defaultdict(int)
-        classes, consts = _stage_a(la, p, k)
-        for mus, c in classes.items():
-            parts = [list(restrict_tower(mu, p, k - 1).items()) for mu in mus]
-            for combo in product(*parts):
+        acc, blocks = _stage_b(restrict_tower, la, p, k, tw.twist)
+        for c, parts, constant in blocks:
+            for combo in product(*(part.items() for part in parts)):
+                labels = tuple(lab for lab, _ in combo)
+                if len(set(labels)) == 1:
+                    continue
+                orb = tw.orbit(labels)
+                # A constant block meets each induced label once, at its canonical rotation.
+                if constant and orb[1:] != labels:
+                    continue
                 coeff = c
                 for _, m in combo:
                     coeff *= m
-                labels = tuple(lab for lab, _ in combo)
-                if len(set(labels)) == 1:
-                    for t in range(p):
-                        acc[tw.twist(labels[0], t)] += coeff
-                else:
-                    acc[tw.orbit(labels)] += coeff
-        for mu, (c, weights) in consts.items():
-            sub = restrict_tower(mu, p, k - 1)
-            for lab, m in sub.items():
-                counts = _sym_power_counts(p, m)
-                for t, w in enumerate(weights):
-                    if not w:
-                        continue
-                    for s in range(p):
-                        if counts[s]:
-                            acc[tw.twist(lab, (t + s) % p)] += w * counts[s]
-            if c:
-                items = list(sub.items())
-                for combo in product(items, repeat=p):
-                    labels = tuple(lab for lab, _ in combo)
-                    if len(set(labels)) == 1:
-                        continue
-                    if tw.orbit(labels)[1:] != labels:
-                        continue
-                    coeff = c
-                    for _, m in combo:
-                        coeff *= m
-                    acc[tw.orbit(labels)] += coeff
+                acc[orb] += coeff
         vec = dict(acc)
     total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
     if total != ch.sn_degree(la):
@@ -161,16 +178,19 @@ def restrict_tower(la, p, k):
     return vec
 
 
+def _append_digit(digits, t):
+    return digits + (t,)
+
+
 def linear_tower(la, p, k):
     """Linear-degree slice of restrict_tower, keyed by digit strings.
 
     Exact projection of the same recursion: only the degree-1 labels of the
     factors can assemble into a degree-1 label one level up, through either
-    a constant tuple (twists) or a constant block of a twisted constituent.
+    a constant tuple (twists) or a constant block of a twisted constituent,
+    so the slice is the twisted part of Stage B alone.
     """
-    la = check_partition(la)
-    if sum(la) != p**k:
-        raise ValueError(f"|{la}| != {p}^{k}")
+    la = _check_size(la, p, k)
     key = (p, k, la)
     hit = _lin_memo.get(key)
     if hit is not None:
@@ -178,44 +198,18 @@ def linear_tower(la, p, k):
     if k == 0:
         vec = {(): 1}
     else:
-        acc = defaultdict(int)
-        classes, consts = _stage_a(la, p, k)
-        for mus, c in classes.items():
-            parts = [linear_tower(mu, p, k - 1) for mu in mus]
-            for digits, m in parts[0].items():
-                coeff = c * m
-                for other in parts[1:]:
-                    coeff *= other.get(digits, 0)
-                if coeff:
-                    for t in range(p):
-                        acc[digits + (t,)] += coeff
-        for mu, (c, weights) in consts.items():
-            for digits, m in linear_tower(mu, p, k - 1).items():
-                counts = _sym_power_counts(p, m)
-                for t, w in enumerate(weights):
-                    if not w:
-                        continue
-                    for s in range(p):
-                        if counts[s]:
-                            acc[digits + ((t + s) % p,)] += w * counts[s]
-        vec = dict(acc)
+        vec = dict(_stage_b(linear_tower, la, p, k, _append_digit)[0])
     _lin_memo[key] = vec
     return vec
 
 
-def restrict_sylow(la, p):
-    """Decomposition of la over the full Sylow p-subgroup of S_|la|.
-
-    Labels are tuples of per-factor tower labels, factors in ascending
-    tower-height order.
-    """
+def _sylow_product(tower, la, p):
+    """The Young-subgroup factor product over the Sylow factors of S_|la|."""
     la = check_partition(la)
     heights = sylow_shape(sum(la), p)
     out = defaultdict(int)
     for mus, c in ch.young_decompose(la, tuple(p**h for h in heights)).items():
-        parts = [
-            list(restrict_tower(mu, p, h).items()) for mu, h in zip(mus, heights)
-        ]
+        parts = [tower(mu, p, h).items() for mu, h in zip(mus, heights)]
         for combo in product(*parts):
             coeff = c
             for _, m in combo:
@@ -224,27 +218,18 @@ def restrict_sylow(la, p):
     return dict(out)
 
 
+def restrict_sylow(la, p):
+    """Decomposition of la over the full Sylow p-subgroup of S_|la|.
+
+    Labels are tuples of per-factor tower labels, factors in ascending
+    tower-height order.
+    """
+    return _sylow_product(restrict_tower, la, p)
+
+
 def linear_sylow(la, p):
     """Linear constituents over the full Sylow subgroup: digit tuples -> mult."""
-    la = check_partition(la)
-    heights = sylow_shape(sum(la), p)
-    out = defaultdict(int)
-    for mus, c in ch.young_decompose(la, tuple(p**h for h in heights)).items():
-        parts = [linear_tower(mu, p, h) for mu, h in zip(mus, heights)]
-        for combo in product(*[list(part.items()) for part in parts]):
-            coeff = c
-            for _, m in combo:
-                coeff *= m
-            out[tuple(digits for digits, _ in combo)] += coeff
-    return dict(out)
-
-
-def _normalize_linear(psi, nfactors):
-    """Accept a bare digit tuple for single-factor groups; always return a tuple of tuples."""
-    psi = tuple(psi)
-    if nfactors == 1 and (not psi or isinstance(psi[0], int)):
-        return (psi,)
-    return tuple(tuple(f) for f in psi)
+    return _sylow_product(linear_tower, la, p)
 
 
 def sbc(la, p, psi):
@@ -254,12 +239,7 @@ def sbc(la, p, psi):
     tuples in ascending factor order.
     """
     la = check_partition(la)
-    heights = sylow_shape(sum(la), p)
-    psi = _normalize_linear(psi, len(heights))
-    if len(psi) != len(heights) or any(
-        len(f) != h for f, h in zip(psi, heights)
-    ):
-        raise ValueError(f"label {psi} does not match the factor shape {heights}")
+    psi = tw.linear_factors(psi, sylow_shape(sum(la), p))
     return linear_sylow(la, p).get(psi, 0)
 
 
@@ -271,11 +251,6 @@ def lin_constituents(la, p):
 def count_lin(la, p):
     """Number of distinct linear constituents of la restricted to P_n."""
     return len(linear_sylow(la, p))
-
-
-def omega_membership(la, p, psi):
-    """Whether psi appears in the restriction of la at all."""
-    return sbc(la, p, psi) > 0
 
 
 CACHE_FORMAT = "sylowbranch-restriction-cache"

@@ -70,8 +70,11 @@ def _zeta_one(p, scale=1):
 
 @cache
 def _signature_buckets(n, p):
-    """Counter of (cycle type, per-factor signature) over the Sylow subgroup."""
-    return Counter(tw.sylow_elements(n, p))
+    """Counter of (cycle type, per-factor signature) over the Sylow subgroup.
+
+    Callers check the element budget first; this enumerates the whole group.
+    """
+    return Counter(tw.sylow_elements(n, p, budget=tw.sylow_order(n, p)))
 
 
 def oracle_linear_multiplicity(la, p, psi, budget=None):
@@ -83,16 +86,8 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
     """
     la = check_partition(la)
     n = sum(la)
-    heights = sylow_shape(n, p)
-    psi = tuple(psi)
-    if len(heights) == 1 and (not psi or isinstance(psi[0], int)):
-        psi = (psi,)
-    psi = tuple(tuple(f) for f in psi)
-    if len(psi) != len(heights) or any(len(f) != h for f, h in zip(psi, heights)):
-        raise ValueError(f"label {psi} does not match factor heights {heights}")
-    order = tw.sylow_order(n, p)
-    if budget is not None and order > budget:
-        raise tw.BudgetExceeded(f"|P_{n}| = {order} exceeds the budget {budget}")
+    psi = tw.linear_factors(psi, sylow_shape(n, p))
+    order = tw.check_budget(n, p, budget)
     acc = [0] * p
     for (ct, sigs), count in _signature_buckets(n, p).items():
         chi = character_value(la, ct)
@@ -159,22 +154,13 @@ def oracle_full_restriction(la, p, budget=None):
     Only for |la| = p^k within the element budget; asserts dimension
     conservation on its own result.
     """
-    import os
-
     la = check_partition(la)
     n = sum(la)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    heights = sylow_shape(n, p)
+    if len(heights) != 1:
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
-    if budget is None:
-        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
-    order = tw.sylow_order(n, p)
-    if order > budget:
-        raise tw.BudgetExceeded(f"|P_{n}| = {order} exceeds the budget {budget}")
+    k = heights[0]
+    order = tw.check_budget(n, p, budget)
     data = _tower_element_data(p, k)
     vec = {}
     for label in tw.irr_labels(p, k):

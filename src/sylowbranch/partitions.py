@@ -9,7 +9,7 @@ two-block family used by the k=4 classification arguments.
 """
 
 from functools import cache
-from math import comb
+from math import comb, isqrt
 
 
 def check_partition(parts):
@@ -108,10 +108,6 @@ def hook_coordinate(la):
     return len(la) - 1
 
 
-def is_hook(la):
-    return hook_coordinate(la) is not None
-
-
 def almost_hook(n, x):
     """The almost hook (n-2-x, 2, 1^x); requires n >= 4 and 0 <= x <= n-4."""
     if not 0 <= x <= n - 4:
@@ -125,10 +121,6 @@ def almost_hook_coordinate(la):
         return None
     x = len(la) - 2
     return x if la[0] >= 2 else None
-
-
-def is_almost_hook(la):
-    return almost_hook_coordinate(la) is not None
 
 
 def in_box(la, t):
@@ -239,7 +231,10 @@ def sylow_shape(n, p):
 
     Digit a_i of the base-p expansion contributes i repeated a_i times; the
     Sylow subgroup is the direct product of the corresponding towers.
+    Raises ValueError unless p is a prime.
     """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     heights = []

@@ -19,6 +19,7 @@ used by the brute-force oracle, with elements carried as nested
 (children, top-cycle) pairs.
 """
 
+import os
 from functools import cache
 from itertools import product
 
@@ -40,6 +41,11 @@ def is_twist(label):
     return len(label) == 2 and isinstance(label[1], int)
 
 
+def rotations(tup):
+    """The cyclic rotations of a tuple, starting with the tuple itself."""
+    return [tup[i:] + tup[:i] for i in range(len(tup))]
+
+
 def orbit(labels):
     """Induced label for a non-constant tuple, canonicalized by least rotation.
 
@@ -49,8 +55,7 @@ def orbit(labels):
     labels = tuple(labels)
     if len(set(labels)) == 1:
         raise ValueError("orbit tuples must not be constant")
-    rotations = [labels[i:] + labels[:i] for i in range(len(labels))]
-    least = min(rotations, key=lambda rot: tuple(label_text(sub) for sub in rot))
+    least = min(rotations(labels), key=lambda rot: tuple(label_text(sub) for sub in rot))
     return ("orb",) + least
 
 
@@ -64,6 +69,20 @@ def linear_label(digits):
     for d in digits:
         label = (label, d)
     return label
+
+
+def linear_factors(psi, heights):
+    """A linear label as per-factor digit tuples, checked against the heights.
+
+    A bare digit tuple is accepted when the Sylow subgroup has one factor.
+    """
+    psi = tuple(psi)
+    if len(heights) == 1 and (not psi or isinstance(psi[0], int)):
+        psi = (psi,)
+    psi = tuple(tuple(f) for f in psi)
+    if len(psi) != len(heights) or any(len(f) != h for f, h in zip(psi, heights)):
+        raise ValueError(f"label {psi} does not match the factor shape {heights}")
+    return psi
 
 
 def linear_digits(label):
@@ -295,24 +314,30 @@ def perm_cycle_type(perm):
     return tuple(sorted(lengths, reverse=True))
 
 
+def check_budget(n, p, budget=None):
+    """|P_n|, or BudgetExceeded when it is over the element budget.
+
+    An explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is
+    read, and the default is 2^20.
+    """
+    if budget is None:
+        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
+    order = sylow_order(n, p)
+    if order > budget:
+        raise BudgetExceeded(f"|P_{n}| = {order} exceeds the element budget {budget}")
+    return order
+
+
 def sylow_elements(n, p, budget=None):
     """Stream every element of the Sylow p-subgroup of S_n exactly once.
 
     Yields (cycle type in S_n, per-factor signature tuple).  Factors act on
     consecutive blocks of points ordered by ascending tower height, so the
     cycle type is just the multiset union across factors.  `budget` caps the
-    group order (default 2^20, overridable via SYLOW_BRANCH_BUDGET).
+    group order as in check_budget.
     """
-    import os
-
-    if budget is None:
-        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
-    order = sylow_order(n, p)
-    if order > budget:
-        raise BudgetExceeded(
-            f"|P_{n}| = {order} exceeds the element budget {budget}"
-        )
     heights = sylow_shape(n, p)
+    check_budget(n, p, budget)
     factors = []
     for h in heights:
         els = tower_elements(p, h)

@@ -11,6 +11,7 @@ the CLI (`thm11`, `thm12`, `thm13`) map onto classify-two, classify-odd and
 hook-grid respectively.
 """
 
+import inspect
 import random
 from collections import namedtuple
 
@@ -18,14 +19,13 @@ from . import closedform as cf
 from . import engine
 from . import oracle
 from . import tower as tw
-from .characters import lr_coefficient, plethysm_split, sn_degree, split_pairs
+from .characters import lr_coefficient, plethysm_split, sn_degree
 from .partitions import (
     almost_hook,
     conjugate,
     delta,
     exceptional_family,
     hook,
-    in_box,
     partitions,
     sylow_shape,
 )
@@ -86,19 +86,14 @@ def hook_grid(seed=DEFAULT_SEED, engine_triples=50):
     )
 
 
-# The four small decompositions that are printed as direct computations:
-# three shapes over the 2^3 tower and one over P_9 = P_1 x P_8, all with
-# every multiplicity equal to 1.
-_SMALL_SETS = {
-    (5, 3): (1, 2),
-    (3, 3, 2): (2, 5),
-    (2, 2, 2, 1, 1): (5, 6),
-}
-
-
 def small_sets():
+    """The four printed Lin sets, every multiplicity 1.
+
+    The three sporadic shapes of 8 over the 2^3 tower and (3,3,3) over
+    P_9 = P_1 x P_8.
+    """
     failures = []
-    for la, ys in _SMALL_SETS.items():
+    for la, ys in cf.EIGHT_SPORADIC.items():
         want = {(tw.hook_to_linear(3, y),): 1 for y in ys}
         got = engine.lin_constituents(la, 2)
         if got != want:
@@ -110,24 +105,41 @@ def small_sets():
     return _result("small-sets", failures, "four printed Lin sets exact, all multiplicities 1")
 
 
-def classify_two(n_max=17):
-    """Engine linear-constituent counts vs the p=2 classification, n <= n_max."""
+def check_classification(p, n, la):
+    """(outcome, engine count, ok) for one shape against its classification.
+
+    ok is count > p for a ">..." outcome; otherwise the engine count equals
+    the predicted one and, when witnesses are given, the Lin set equals them.
+    """
+    if p == 2:
+        out = cf.two_linear_classification(n, la)
+    else:
+        out = cf.odd_prime_classification(p, n, la)
+    lc = engine.lin_constituents(la, p)
+    cnt = len(lc)
+    if out.count.startswith(">"):
+        ok = cnt > p
+    else:
+        ok = cnt == int(out.count) and (not out.witnesses or set(out.witnesses) == set(lc))
+    return out, cnt, ok
+
+
+def _classification_sweep(p, ns):
+    """Failures and shape count of check_classification over all shapes of each n."""
     failures = []
     shapes = 0
-    for n in range(4, n_max + 1):
+    for n in ns:
         for la in partitions(n):
-            out = cf.two_linear_classification(n, la)
-            lc = engine.lin_constituents(la, 2)
-            cnt = len(lc)
-            if out.count == "1":
-                ok = cnt == 1 and (not out.witnesses or set(out.witnesses) == set(lc))
-            elif out.count == "2":
-                ok = cnt == 2 and set(out.witnesses) == set(lc)
-            else:
-                ok = cnt > 2
+            out, cnt, ok = check_classification(p, n, la)
             shapes += 1
             if not ok:
                 failures.append(f"n={n} {la}: case {out.case} predicted {out.count}, engine {cnt}")
+    return failures, shapes
+
+
+def classify_two(n_max=17):
+    """Engine linear-constituent counts vs the p=2 classification, n <= n_max."""
+    failures, shapes = _classification_sweep(2, range(4, n_max + 1))
     return _result(
         "classify-two", failures, f"{shapes} shapes over n=4..{n_max}, witnesses exact in every |Lin|<=2 case"
     )
@@ -135,16 +147,7 @@ def classify_two(n_max=17):
 
 def classify_odd(p=3, n_range=(9, 12)):
     """Engine counts vs the odd-prime classification for n in the range."""
-    failures = []
-    shapes = 0
-    for n in range(n_range[0], n_range[1] + 1):
-        for la in partitions(n):
-            out = cf.odd_prime_classification(p, n, la)
-            cnt = engine.count_lin(la, p)
-            ok = cnt > p if out.count == ">p" else cnt == int(out.count)
-            shapes += 1
-            if not ok:
-                failures.append(f"n={n} {la}: case {out.case} predicted {out.count}, engine {cnt}")
+    failures, shapes = _classification_sweep(p, range(n_range[0], n_range[1] + 1))
     return _result(
         "classify-odd", failures, f"p={p}: {shapes} shapes over n={n_range[0]}..{n_range[1]}"
     )
@@ -409,9 +412,8 @@ def run(names=None, out=print, **kwargs):
     for name in names:
         name = ALIASES.get(name, name)
         fn = SUITES[name]
-        accepted = {
-            k: v for k, v in kwargs.items() if v is not None and k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        }
+        params = inspect.signature(fn).parameters
+        accepted = {k: v for k, v in kwargs.items() if v is not None and k in params}
         res = fn(**accepted)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"

@@ -9,6 +9,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=120,
     )
 
 
@@ -40,6 +41,9 @@ def test_restrict_tsv():
     r = run_cli("restrict", "--p", "2", "--lambda", "2,2", "--format", "tsv")
     assert r.returncode == 0
     assert r.stdout == "label\tdegree\tmult\n0.0\t1\t1\n1.0\t1\t1\n"
+    # orbit labels print their text-least rotation
+    r = run_cli("restrict", "--p", "2", "--lambda", "13,3")
+    assert "[[0,1].0,[0.0,0.1]]\t16\t1" in r.stdout.splitlines()
 
 
 def test_restrict_json():
@@ -116,6 +120,11 @@ def test_exit_code_domain():
     assert "out of range" in r.stderr
     assert run_cli("verify", "nosuite").returncode == 2
     assert run_cli("sbc", "--p", "2", "--lambda", "2,3", "--linear", "y=0").returncode == 2
+    # a non-prime p is rejected, not looped on (p = 1) or decomposed (p = 4)
+    for p, la in (("1", "3"), ("0", "3"), ("4", "4,1")):
+        r = run_cli("lin", "--p", p, "--lambda", la)
+        assert r.returncode == 2, (p, r.stdout)
+        assert "prime" in r.stderr
 
 
 def test_exit_code_budget():
@@ -125,6 +134,8 @@ def test_exit_code_budget():
     r = run_cli("verify", "oracle", env=env)
     assert r.returncode == 3
     assert "budget" in r.stderr
+    # an explicit --budget 0 is honoured, not read as unset
+    assert run_cli("verify", "oracle", "--budget", "0").returncode == 3
 
 
 def test_exit_code_verification_failure():

@@ -102,11 +102,6 @@ def test_count_lin_matches_lin_constituents():
         assert engine.count_lin(la, 2) == len(engine.lin_constituents(la, 2))
 
 
-def test_omega_membership():
-    assert engine.omega_membership((5, 3), 2, (tw.hook_to_linear(3, 1),))
-    assert not engine.omega_membership((5, 3), 2, (tw.hook_to_linear(3, 3),))
-
-
 def test_containment_monotonicity_spot_checks():
     # adding digit-dominated boxes never loses linear constituents
     def admissible(m, n, p=2):

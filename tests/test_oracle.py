@@ -86,6 +86,15 @@ def test_oracle_budget():
         orc.oracle_full_restriction((8,), 2, budget=4)
 
 
+def test_explicit_budget_beats_environment(monkeypatch):
+    monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "4")
+    orc._signature_buckets.cache_clear()
+    assert orc.oracle_linear_multiplicity((4,), 2, (0, 0), budget=8) == 1
+    assert orc.oracle_full_restriction((4,), 2, budget=8) == {tw.linear_label((0, 0)): 1}
+    with pytest.raises(tw.BudgetExceeded):
+        orc.oracle_linear_multiplicity((4,), 2, (0, 0))
+
+
 def test_kostka_numbers():
     assert orc._kostka((2, 1), (1, 1, 1)) == 2
     assert orc._kostka((2, 1), (2, 1)) == 1

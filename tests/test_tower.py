@@ -54,6 +54,11 @@ def test_orbit_canonical_rotation():
     assert tw.orbit((a, b)) == tw.orbit((b, a))
     with pytest.raises(ValueError):
         tw.orbit((a, a))
+    # rotations compare by label text, not by (degree, text): the degree-4
+    # label leads although the other factor has degree 2
+    low, high = tw.parse_label("[0.0,0.1]"), tw.parse_label("[0,1].0")
+    assert tw.label_text(tw.orbit((low, high))) == "[[0,1].0,[0.0,0.1]]"
+    assert tw.orbit((low, high)) == tw.orbit((high, low))
 
 
 def test_label_text_forms():
