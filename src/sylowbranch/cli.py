@@ -133,6 +133,7 @@ def cmd_restrict(args):
 
 def cmd_classify(args):
     p, n = args.p, args.n
+    cf.check_classification_domain(p, n)
     print("lambda\tengine\tpredicted\tcase\tstatus")
     mismatches = 0
     for la in partitions(n):

@@ -24,6 +24,7 @@ from .partitions import (
     almost_hook,
     almost_hook_coordinate,
     check_partition,
+    check_prime,
     choose,
     conjugate,
     delta,
@@ -204,6 +205,13 @@ def two_linear_classification(n, la):
     return Outcome(">2", "generic", None)
 
 
+def check_classification_domain(p, n):
+    """Raise ValueError unless p is a prime and, for odd p, n >= p."""
+    check_prime(p)
+    if p > 2 and n < p:
+        raise ValueError(f"n={n} has a trivial Sylow {p}-subgroup")
+
+
 def odd_prime_classification(p, n, la):
     """Predicted number of linear constituents for an odd prime p.
 
@@ -211,10 +219,9 @@ def odd_prime_classification(p, n, la):
     boxes at n = p^k and just above a p-power, the sporadic square at
     (p, n) = (3, 9), and ">p" in all remaining cases.
     """
-    if p < 3 or p % 2 == 0:
+    check_classification_domain(p, n)
+    if p == 2:
         raise ValueError("p must be an odd prime")
-    if n < p:
-        raise ValueError(f"n={n} has a trivial Sylow {p}-subgroup")
     la = check_partition(la)
     if sum(la) != n:
         raise ValueError(f"|{la}| != {n}")

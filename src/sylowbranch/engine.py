@@ -21,7 +21,11 @@ Stage B restricts each W-constituent to P via the recursively known vectors
 R_mu of the factors: twisted constituents split their constant-label blocks
 through the symmetric-power counts N_s(m) = (m^p + (p-1)m)/p or (m^p - m)/p,
 and induced constituents restrict by Mackey's theorem with a single double
-coset, scattering products of factor multiplicities over orbit labels.
+coset, scattering products of factor multiplicities over orbit labels.  The
+scatter ranks the factor labels once by label_text, so an orbit label's
+least rotation is taken on int tuples and equals the one tw.orbit picks; a
+constant block visits only the (m^p - m)/p Lyndon words over its m labels,
+which for prime p are the least rotations of its non-constant necklaces.
 
 Every divisibility is asserted and every full vector is checked against
 dimension conservation; failures abort rather than round.
@@ -34,6 +38,7 @@ checks run on.
 from collections import defaultdict
 from functools import cache
 from itertools import product
+from math import prod
 
 from . import characters as ch
 from . import tower as tw
@@ -140,6 +145,34 @@ def _stage_b(tower, la, p, k, extend):
     return acc, blocks
 
 
+def _orbit_scatter(blocks, p):
+    """The induced part of Stage B: orbit label -> multiplicity.
+
+    Labels are ranked by label_text, so least rotations are found on int
+    tuples and agree with tw.orbit.  A constant block meets each induced
+    label once, at its least rotation, so only the Lyndon words over its
+    rank-sorted labels are visited.
+    """
+    labels = {lab for _, parts, _ in blocks for part in parts for lab in part}
+    labels = sorted(labels, key=tw.label_text)
+    rank = {lab: i for i, lab in enumerate(labels)}
+    induced = defaultdict(int)
+    for c, parts, constant in blocks:
+        ranked = [sorted((rank[lab], m) for lab, m in part.items()) for part in parts]
+        ranks = [[r for r, _ in part] for part in ranked]
+        mults = [[m for _, m in part] for part in ranked]
+        if constant:
+            rs, ms = ranks[0], mults[0]
+            for word in tw.lyndon_words(len(rs), p):
+                induced[tuple(rs[i] for i in word)] += c * prod(ms[i] for i in word)
+            continue
+        for key, ms in zip(product(*ranks), product(*mults)):
+            # a constant tuple belongs to the twisted part, counted in _stage_b
+            if key.count(key[0]) != p:
+                induced[min(tw.rotations(key))] += c * prod(ms)
+    return {("orb",) + tuple(labels[r] for r in key): m for key, m in induced.items()}
+
+
 def restrict_tower(la, p, k):
     """Full decomposition of la (a partition of p^k) over the tower labels.
 
@@ -154,20 +187,7 @@ def restrict_tower(la, p, k):
         vec = {tw.LEAF: 1}
     else:
         acc, blocks = _stage_b(restrict_tower, la, p, k, tw.twist)
-        for c, parts, constant in blocks:
-            for combo in product(*(part.items() for part in parts)):
-                labels = tuple(lab for lab, _ in combo)
-                if len(set(labels)) == 1:
-                    continue
-                orb = tw.orbit(labels)
-                # A constant block meets each induced label once, at its canonical rotation.
-                if constant and orb[1:] != labels:
-                    continue
-                coeff = c
-                for _, m in combo:
-                    coeff *= m
-                acc[orb] += coeff
-        vec = dict(acc)
+        vec = {**acc, **_orbit_scatter(blocks, p)}
     total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
     if total != ch.sn_degree(la):
         raise ArithmeticError(
@@ -309,8 +329,12 @@ def load_cache(path, missing_ok=False):
         p, k = int(entry["p"]), int(entry["k"])
         la = tuple(int(x) for x in entry["lambda"].split(",")) if entry["lambda"] else ()
         vec = {tw.parse_label(text): int(m) for text, m in entry["vector"]}
+        try:
+            heights_ok = all(tw.label_height(p, lab) == k for lab in vec)
+        except ValueError:
+            heights_ok = False
         total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
-        if total != ch.sn_degree(la):
+        if not heights_ok or total != ch.sn_degree(la):
             raise ValueError(f"corrupt cache entry for {la} in {path}")
         _full_memo[(p, k, la)] = vec
         loaded += 1

@@ -226,6 +226,12 @@ def choose(a, b):
     return comb(a, b) if 0 <= b <= a else 0
 
 
+def check_prime(p):
+    """Raise ValueError unless p is a prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
+
+
 def sylow_shape(n, p):
     """Tower heights of the Sylow p-subgroup factors of S_n, ascending.
 
@@ -233,8 +239,7 @@ def sylow_shape(n, p):
     Sylow subgroup is the direct product of the corresponding towers.
     Raises ValueError unless p is a prime.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime, got {p}")
+    check_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
     heights = []

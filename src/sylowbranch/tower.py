@@ -23,7 +23,7 @@ import os
 from functools import cache
 from itertools import product
 
-from .partitions import sylow_shape
+from .partitions import check_prime, sylow_shape
 
 LEAF = ()
 
@@ -57,6 +57,29 @@ def orbit(labels):
         raise ValueError("orbit tuples must not be constant")
     least = min(rotations(labels), key=lambda rot: tuple(label_text(sub) for sub in rot))
     return ("orb",) + least
+
+
+def lyndon_words(m, p):
+    """The Lyndon words of length p over range(m), in lexicographic order.
+
+    Duval's walk (Fredricksen-Kessler-Maiorana order): each word of length
+    at most p is extended periodically and its trailing maximal letters are
+    dropped.  For prime p these are exactly the least rotations of the
+    (m^p - m)/p non-constant necklaces.
+    """
+    if m < 2:
+        return
+    word = [0]
+    while word:
+        size = len(word)
+        if size == p:
+            yield tuple(word)
+        while len(word) < p:
+            word.append(word[len(word) - size])
+        while word and word[-1] == m - 1:
+            word.pop()
+        if word:
+            word[-1] += 1
 
 
 def is_orbit(label):
@@ -106,6 +129,27 @@ def label_degree(p, label):
             deg *= label_degree(p, sub)
         return deg
     return label_degree(p, label[0]) ** p
+
+
+@cache
+def label_height(p, label):
+    """Tower height of a label, or ValueError when it is no label at prime p.
+
+    Rejects a digit outside range(p), an orbit whose arity is not p and an
+    orbit whose entries have different heights.
+    """
+    if label == LEAF:
+        return 0
+    if is_orbit(label):
+        subs = label[1:]
+        heights = {label_height(p, sub) for sub in subs}
+        if len(subs) != p or len(heights) != 1:
+            raise ValueError(f"bad orbit label {label_text(label)!r} at p={p}")
+        return heights.pop() + 1
+    inner, t = label
+    if not 0 <= t < p:
+        raise ValueError(f"digit {t} out of range at p={p}")
+    return label_height(p, inner) + 1
 
 
 @cache
@@ -229,6 +273,7 @@ def sgn_twist(k, digits):
 
 def sylow_order(n, p):
     """Order of the Sylow p-subgroup of S_n (Legendre's formula)."""
+    check_prime(p)
     e = 0
     q = p
     while q <= n:

@@ -157,6 +157,33 @@ def test_cache_roundtrip(tmp_path):
     assert warm.stdout == cold.stdout
 
 
+def test_cache_corrupt_label_rejected(tmp_path):
+    cache = tmp_path / "vec.json"
+    # the degree sum of (2) still matches, so only the label check catches these
+    for text in ("0.0.5", "5"):
+        doc = {
+            "format": "sylowbranch-restriction-cache",
+            "version": 1,
+            "primes": [2],
+            "max_k": 1,
+            "entries": [{"p": 2, "k": 1, "lambda": "2", "vector": [[text, 1]]}],
+        }
+        cache.write_text(json.dumps(doc))
+        r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache))
+        assert r.returncode == 2, (text, r.stdout)
+        assert "corrupt cache entry" in r.stderr
+        assert r.stdout == ""
+        assert json.loads(cache.read_text()) == doc
+
+
+def test_classify_rejects_bad_domain_before_output():
+    for p, n, message in (("9", "9", "prime"), ("3", "2", "trivial Sylow")):
+        r = run_cli("classify", "--p", p, "--n", n)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert message in r.stderr
+
+
 def test_cache_stale_version_rejected(tmp_path):
     cache = tmp_path / "vec.json"
     run_cli("restrict", "--p", "2", "--lambda", "2,2", "--cache", str(cache))

@@ -164,6 +164,9 @@ def test_odd_prime_classification_domain():
         cf.odd_prime_classification(3, 2, (2,))
     with pytest.raises(ValueError):
         cf.odd_prime_classification(3, 9, (4, 4))
+    for p in (1, 9):
+        with pytest.raises(ValueError, match="prime"):
+            cf.odd_prime_classification(p, 9, (9,))
 
 
 def test_odd_prime_classification_matches_engine_at_nine():

@@ -196,5 +196,28 @@ def test_cache_rejects_corrupt_entry(tmp_path):
         engine.load_cache(path)
 
 
+def test_cache_rejects_label_of_wrong_height(tmp_path):
+    engine.restrict_tower((2,), 2, 1)
+    path = tmp_path / "cache.json"
+    engine.save_cache(path)
+    doc = json.loads(path.read_text())
+    entry = next(e for e in doc["entries"] if (e["p"], e["lambda"]) == (2, "2"))
+    # each keeps the degree sum of (2): one label of degree 1
+    for text in ("0.0.5", "5", "0.0"):
+        entry["vector"] = [[text, 1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="corrupt cache entry"):
+            engine.load_cache(path)
+
+
+def test_induced_labels_are_canonical_orbits():
+    for p, k_max in ((2, 4), (3, 2)):
+        for k in range(1, k_max + 1):
+            for la in partitions(p**k):
+                for lab in engine.restrict_tower(la, p, k):
+                    if tw.is_orbit(lab):
+                        assert tw.orbit(lab[1:]) == lab, (la, lab)
+
+
 def test_load_cache_missing_ok(tmp_path):
     assert engine.load_cache(tmp_path / "absent.json", missing_ok=True) == 0

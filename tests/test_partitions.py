@@ -5,6 +5,7 @@ from sylowbranch.partitions import (
     almost_hook_coordinate,
     box_partitions,
     check_partition,
+    check_prime,
     classify_shape,
     conjugate,
     delta,
@@ -178,6 +179,16 @@ def test_exceptional_family_closed_under_stated_conjugates():
     # the family is not conjugation-closed in general, but the two boundary
     # members are conjugate to each other
     assert conjugate((13, 3)) == (2, 2, 2) + (1,) * 10
+
+
+def test_check_prime():
+    for p in (2, 3, 5, 7, 31):
+        check_prime(p)
+    for p in (-3, 0, 1, 4, 9, 25):
+        with pytest.raises(ValueError, match="prime"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="prime"):
+        sylow_shape(9, 9)
 
 
 def test_sylow_shape():

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -61,6 +63,36 @@ def test_orbit_canonical_rotation():
     assert tw.orbit((low, high)) == tw.orbit((high, low))
 
 
+def test_lyndon_words_are_least_rotations_of_nonconstant_necklaces():
+    # m = 0 and m = 1 have no non-constant tuple, so nothing is yielded
+    for p in (2, 3, 5):
+        for m in range(7):
+            expected = [
+                t
+                for t in product(range(m), repeat=p)
+                if len(set(t)) > 1 and t == min(tw.rotations(t))
+            ]
+            words = list(tw.lyndon_words(m, p))
+            assert words == expected, (m, p)
+            assert len(words) == (m**p - m) // p
+
+
+def test_label_height():
+    for p, k in ((2, 3), (3, 2)):
+        assert {tw.label_height(p, lab) for lab in tw.irr_labels(p, k)} == {k}
+    assert tw.label_height(2, tw.LEAF) == 0
+    bad = (
+        "5",  # digit out of range
+        "0.0.5",
+        "[0,1,0.1]",  # arity 3 at p = 2
+        "[0,0.1]",  # entries of mixed height
+    )
+    for text in bad:
+        with pytest.raises(ValueError):
+            tw.label_height(2, tw.parse_label(text))
+    assert tw.label_height(3, tw.parse_label("[0,1,2].2")) == 3
+
+
 def test_label_text_forms():
     assert tw.label_text(tw.LEAF) == "e"
     assert tw.label_text(tw.linear_label((0, 1, 1))) == "0.1.1"
@@ -118,6 +150,23 @@ def test_sylow_order():
     assert tw.sylow_order(9, 3) == 81
     assert tw.sylow_order(12, 2) == 1024
     assert tw.sylow_order(5, 7) == 1
+
+
+def test_sylow_order_rejects_non_prime():
+    # in a child process, so that a regression to the endless q *= p loop
+    # at p = 1 or p = 0 fails on the timeout instead of hanging the suite
+    code = (
+        "from sylowbranch import tower as tw\n"
+        "for n, p in ((3, 1), (5, 0), (5, 4), (9, 9)):\n"
+        "    try:\n"
+        "        tw.sylow_order(n, p)\n"
+        "    except ValueError as exc:\n"
+        "        assert 'prime' in str(exc)\n"
+        "    else:\n"
+        "        raise SystemExit(f'accepted p={p}')\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 def test_tower_element_count_and_identity():
