@@ -7,8 +7,14 @@ two plethysm coefficients a^la_{(2),mu} / a^la_{(1,1),mu} from the identity
     s_mu * s_mu = (s_(2) o s_mu) + (s_(1,1) o s_mu)
 
 combined with the stretched inner product <s_mu[p_2], s_la>, so everything
-reduces to fillings and character values.  The heavy entry points are
-memoized; callers must treat returned dicts as read-only.
+reduces to fillings and character values.
+
+split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
+that enumerates fillings; lr_coefficient reads one of its entries.
+young_decompose folds it over any number of blocks, peeling the last block
+first and merging partial results by remaining shape; lr_multi reads one
+entry of the fold.  split_pairs is memoized, so callers must treat its
+dicts as read-only.
 """
 
 from collections import Counter, defaultdict
@@ -80,54 +86,43 @@ def character_value(la, ct):
     return _mn(tuple(la), tuple(sorted(ct, reverse=True)))
 
 
-def _lattice_fillings(la, mu, target=None):
-    """Count lattice skew fillings of la/mu, bucketed by content.
+def _lattice_fillings(la, mu):
+    """Count the lattice skew fillings of la/mu, bucketed by content.
 
     Fillings are weakly increasing along rows, strictly increasing down
     columns, and their reverse row word (rows top to bottom, each read right
     to left) stays a ballot sequence, which is exactly the lattice condition
-    enforced incrementally below.  With target set, only fillings of that
-    content are counted and the return value is a bare integer.
+    enforced incrementally below.  mu must lie inside la.
     """
     rows = len(la)
     cells = []
     for r in range(rows):
         inner = mu[r] if r < len(mu) else 0
-        if inner > la[r]:
-            return 0 if target is not None else {}
         for c in range(la[r] - 1, inner - 1, -1):
             cells.append((r, c, inner))
     if not cells:
-        return 1 if target == () else ({(): 1} if target is None else 0)
+        return {(): 1}
 
-    maxval = len(target) if target is not None else rows
-    counts = [0] * (maxval + 1)
+    counts = [0] * (rows + 1)
     grid = {}
     buckets = defaultdict(int)
-    hits = 0
 
     def fill(pos):
-        nonlocal hits
         if pos == len(cells):
-            content = tuple(counts[1 : maxval + 1])
+            content = tuple(counts[1:])
             while content and content[-1] == 0:
                 content = content[:-1]
-            if target is None:
-                buckets[content] += 1
-            else:
-                hits += 1
+            buckets[content] += 1
             return
         r, c, inner = cells[pos]
         lo = 1
         if r > 0 and c >= (mu[r - 1] if r - 1 < len(mu) else 0):
             lo = grid[r - 1, c] + 1
-        hi = min(r + 1, maxval)
+        hi = r + 1
         if c + 1 < la[r]:
             hi = min(hi, grid[r, c + 1])
         for v in range(lo, hi + 1):
             if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            if target is not None and counts[v] >= target[v - 1]:
                 continue
             counts[v] += 1
             grid[r, c] = v
@@ -136,9 +131,7 @@ def _lattice_fillings(la, mu, target=None):
         grid.pop((r, c), None)
 
     fill(0)
-    if target is None:
-        return dict(buckets)
-    return hits
+    return dict(buckets)
 
 
 def lr_coefficient(la, mu, nu):
@@ -146,9 +139,7 @@ def lr_coefficient(la, mu, nu):
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
     if sum(mu) + sum(nu) != sum(la):
         raise ValueError("sizes must satisfy |mu| + |nu| = |la|")
-    if len(mu) > len(la):
-        return 0
-    return _lattice_fillings(la, mu, target=nu)
+    return split_pairs(la, sum(mu)).get((mu, nu), 0)
 
 
 def subshapes(la, size):
@@ -194,36 +185,40 @@ def split_pairs(la, m):
     return table
 
 
-def young_decompose(la, sizes):
+def young_decompose(la, sizes, factor=None):
     """Restriction of la to the Young subgroup with the given block sizes.
 
-    Returns a dict mapping ordered tuples (mu_1, ..., mu_r), aligned with
-    `sizes`, to their multiplicities.  Peels the last block off first.
+    Returns a new dict mapping tuples (x_1, ..., x_r), aligned with `sizes`,
+    to multiplicities: x_i runs over the keys of factor(mu_i, i), the vector
+    of block i's constituent mu_i, and without factor x_i = mu_i.  The fold
+    peels blocks from the last one and merges the partial results by
+    remaining shape, so each remaining shape is split, and each factor
+    vector fetched, once per block; no memo of its own outlives the call.
+    The split_pairs tables and factor vectors are only read, so factor may
+    hand out memoized vectors.
     """
-    sizes = tuple(sizes)
+    la, sizes = tuple(la), tuple(sizes)
     if sum(sizes) != sum(la):
         raise ValueError("block sizes must sum to |la|")
-    if len(sizes) == 1:
-        return {(tuple(la),): 1}
-    out = defaultdict(int)
-    for (mu, rest), c in split_pairs(tuple(la), sizes[-1]).items():
-        for tup, c2 in young_decompose(rest, sizes[:-1]).items():
-            out[tup + (mu,)] += c * c2
-    return dict(out)
+    states = {la: {(): 1}}
+    for i in range(len(sizes) - 1, -1, -1):
+        merged = defaultdict(lambda: defaultdict(int))
+        for rest, tails in states.items():
+            # the first block takes what is left whole
+            pairs = split_pairs(rest, sizes[i]) if i else {(rest, ()): 1}
+            for (mu, nu), c in pairs.items():
+                out = merged[nu]
+                for x, m in ({mu: 1} if factor is None else factor(mu, i)).items():
+                    for tail, t in tails.items():
+                        out[(x,) + tail] += c * m * t
+        states = merged
+    return dict(states[()])
 
 
 def lr_multi(la, factors):
     """Multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted."""
-    factors = [tuple(mu) for mu in factors]
-    if sum(map(sum, factors)) != sum(la):
-        raise ValueError("factor sizes must sum to |la|")
-    if len(factors) == 1:
-        return 1 if tuple(la) == factors[0] else 0
-    total = 0
-    for (mu, rest), c in split_pairs(tuple(la), sum(factors[-1])).items():
-        if mu == factors[-1]:
-            total += c * lr_multi(rest, factors[:-1])
-    return total
+    factors = tuple(tuple(mu) for mu in factors)
+    return young_decompose(la, map(sum, factors)).get(factors, 0)
 
 
 def stretch_coefficient(la, mu, p):

@@ -9,9 +9,9 @@ Commands:
   table     the almost-hook coefficient grid as TSV
   verify    named verification sweeps (or "all")
 
-Exit codes: 1 usage error, 2 domain error (malformed partition or label,
-size mismatch, p not a prime), 3 element budget exceeded, 4 verification
-failure.
+Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
+label, size mismatch, p not a prime, corrupt cache), 3 element budget
+exceeded, 4 verification failure.
 
 Partitions are written as comma-separated parts with optional power
 shorthand: "8,2,1^6".  Linear labels are dotted digit strings per tower
@@ -65,12 +65,19 @@ def _parse_linear(text, p, heights):
     return tuple(factors)
 
 
+def _parse_shape(text):
+    la = parse_partition(text)
+    if not la:
+        raise ValueError("the partition must be nonempty")
+    return la
+
+
 def _linear_text(psi):
     return "|".join(".".join(str(d) for d in f) if f else "e" for f in psi)
 
 
 def cmd_sbc(args):
-    la = parse_partition(args.la)
+    la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
     psi = _parse_linear(args.linear, args.p, heights)
     if args.cache:
@@ -82,7 +89,7 @@ def cmd_sbc(args):
 
 
 def cmd_lin(args):
-    la = parse_partition(args.la)
+    la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
     if args.cache:
         engine.load_cache(args.cache, missing_ok=True)
@@ -99,7 +106,7 @@ def cmd_lin(args):
 
 
 def cmd_restrict(args):
-    la = parse_partition(args.la)
+    la = _parse_shape(args.la)
     p = args.p
     heights = sylow_shape(sum(la), p)
     if args.cache:

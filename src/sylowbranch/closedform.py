@@ -206,8 +206,10 @@ def two_linear_classification(n, la):
 
 
 def check_classification_domain(p, n):
-    """Raise ValueError unless p is a prime and, for odd p, n >= p."""
+    """Raise ValueError unless p is a prime, n >= 1 and, for odd p, n >= p."""
     check_prime(p)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if p > 2 and n < p:
         raise ValueError(f"n={n} has a trivial Sylow {p}-subgroup")
 

@@ -227,15 +227,8 @@ def _sylow_product(tower, la, p):
     """The Young-subgroup factor product over the Sylow factors of S_|la|."""
     la = check_partition(la)
     heights = sylow_shape(sum(la), p)
-    out = defaultdict(int)
-    for mus, c in ch.young_decompose(la, tuple(p**h for h in heights)).items():
-        parts = [tower(mu, p, h).items() for mu, h in zip(mus, heights)]
-        for combo in product(*parts):
-            coeff = c
-            for _, m in combo:
-                coeff *= m
-            out[tuple(lab for lab, _ in combo)] += coeff
-    return dict(out)
+    sizes = tuple(p**h for h in heights)
+    return ch.young_decompose(la, sizes, lambda mu, i: tower(mu, p, heights[i]))
 
 
 def restrict_sylow(la, p):
@@ -334,7 +327,8 @@ def load_cache(path, missing_ok=False):
         except ValueError:
             heights_ok = False
         total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
-        if not heights_ok or total != ch.sn_degree(la):
+        positive = all(m > 0 for m in vec.values())
+        if not heights_ok or not positive or total != ch.sn_degree(la):
             raise ValueError(f"corrupt cache entry for {la} in {path}")
         _full_memo[(p, k, la)] = vec
         loaded += 1

@@ -83,17 +83,6 @@ def conjugate(la):
     return tuple(sum(1 for part in la if part > i) for i in range(la[0]))
 
 
-def classify_shape(la):
-    """One of "wide", "tall", "self-conjugate" by the first row/column comparison.
-
-    Wide means la beats its conjugate at the first index where they differ.
-    """
-    mu = conjugate(la)
-    if la == mu:
-        return "self-conjugate"
-    return "wide" if la > mu else "tall"
-
-
 def hook(n, x):
     """The hook (n-x, 1^x); requires 0 <= x <= n-1."""
     if not 0 <= x <= n - 1:
@@ -126,11 +115,6 @@ def almost_hook_coordinate(la):
 def in_box(la, t):
     """Whether la fits in the t x t box: first part and length both <= t."""
     return (la[0] if la else 0) <= t and len(la) <= t
-
-
-def box_partitions(n, t):
-    """All la of n inside the t x t box."""
-    return tuple(la for la in partitions(n, t) if len(la) <= t)
 
 
 def union_parts(*las):

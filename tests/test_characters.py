@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -138,8 +139,27 @@ def test_lr_multi_agrees_with_young_decompose():
 def test_split_pairs_orientation():
     pairs = split_pairs((6, 2), 4)
     assert pairs[((4,), (2, 2))] == pairs[((2, 2), (4,))] == 1
-    for (mu, nu), c in pairs.items():
-        assert c == lr_coefficient((6, 2), mu, nu)
+    # every entry against the character inner product, which needs only
+    # character_value: c^la_{mu,nu} = sum chi^la(a u b) chi^mu(a) chi^nu(b) / (z_a z_b)
+    for n in range(9):
+        for la in partitions(n):
+            for m in range(n + 1):
+                want = {}
+                for mu in partitions(m):
+                    for nu in partitions(n - m):
+                        c = sum(
+                            Fraction(
+                                character_value(la, a + b)
+                                * character_value(mu, a)
+                                * character_value(nu, b),
+                                centralizer_order(a) * centralizer_order(b),
+                            )
+                            for a in partitions(m)
+                            for b in partitions(n - m)
+                        )
+                        if c:
+                            want[mu, nu] = c
+                assert split_pairs(la, m) == want, (la, m)
 
 
 def test_stretch_coefficient_is_plethysm_difference():

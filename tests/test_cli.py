@@ -125,6 +125,12 @@ def test_exit_code_domain():
         r = run_cli("lin", "--p", p, "--lambda", la)
         assert r.returncode == 2, (p, r.stdout)
         assert "prime" in r.stderr
+    # the empty partition is rejected with one error line, not a traceback
+    for args in (("lin", "--lambda", ""), ("restrict", "--lambda", ""), ("classify", "--p", "2", "--n", "0")):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, args
 
 
 def test_exit_code_budget():
@@ -171,6 +177,25 @@ def test_cache_corrupt_label_rejected(tmp_path):
         cache.write_text(json.dumps(doc))
         r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache))
         assert r.returncode == 2, (text, r.stdout)
+        assert "corrupt cache entry" in r.stderr
+        assert r.stdout == ""
+        assert json.loads(cache.read_text()) == doc
+
+
+def test_cache_nonpositive_multiplicity_rejected(tmp_path):
+    cache = tmp_path / "vec.json"
+    # both vectors keep the degree sum of (1,1) at p = 2, which is 1
+    for vector in ([["1", 2], ["0", -1]], [["1", 1], ["0", 0]]):
+        doc = {
+            "format": "sylowbranch-restriction-cache",
+            "version": 1,
+            "primes": [2],
+            "max_k": 1,
+            "entries": [{"p": 2, "k": 1, "lambda": "1,1", "vector": vector}],
+        }
+        cache.write_text(json.dumps(doc))
+        r = run_cli("restrict", "--p", "2", "--lambda", "1,1", "--cache", str(cache))
+        assert r.returncode == 2, (vector, r.stdout)
         assert "corrupt cache entry" in r.stderr
         assert r.stdout == ""
         assert json.loads(cache.read_text()) == doc

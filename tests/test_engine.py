@@ -69,6 +69,14 @@ def test_sbc_accepts_factor_tuples():
     assert engine.sbc((6, 6), 2, ((0, 0), (0, 0, 0))) == 4
 
 
+def test_empty_partition_restricts_to_the_empty_label():
+    # S_0 has the trivial Sylow subgroup with no factors: one empty label
+    for p in (2, 3, 5):
+        assert engine.linear_sylow((), p) == {(): 1}
+        assert engine.restrict_sylow((), p) == {(): 1}
+        assert engine.count_lin((), p) == 1
+
+
 def test_sbc_size_validation():
     with pytest.raises(ValueError):
         engine.sbc((3, 1), 2, (0, 0, 0))

@@ -3,10 +3,8 @@ import pytest
 from sylowbranch.partitions import (
     almost_hook,
     almost_hook_coordinate,
-    box_partitions,
     check_partition,
     check_prime,
-    classify_shape,
     conjugate,
     delta,
     exceptional_family,
@@ -72,19 +70,6 @@ def test_conjugate_involution():
             assert sum(conjugate(la)) == n
 
 
-def test_classify_shape():
-    assert classify_shape((4, 2, 1)) == "wide"
-    assert classify_shape((3, 2, 1, 1)) == "tall"
-    assert classify_shape((3, 2, 1)) == "self-conjugate"
-    for n in range(1, 12):
-        for la in partitions(n):
-            kind = classify_shape(la)
-            if kind == "self-conjugate":
-                assert conjugate(la) == la
-            elif kind == "wide":
-                assert classify_shape(conjugate(la)) == "tall"
-
-
 def test_hooks():
     assert hook(8, 0) == (8,)
     assert hook(8, 3) == (5, 1, 1, 1)
@@ -116,8 +101,6 @@ def test_box_membership():
     assert in_box((3, 3, 2), 3)
     assert not in_box((4, 1), 3)
     assert not in_box((2, 1, 1, 1), 3)
-    for la in box_partitions(8, 4):
-        assert in_box(la, 4) and sum(la) == 8
 
 
 def test_union_parts():
