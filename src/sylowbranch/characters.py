@@ -1,13 +1,17 @@
 """Symmetric group character combinatorics, all in exact integer arithmetic.
 
 Littlewood-Richardson coefficients come from counting lattice skew fillings,
-character values from recursive border-strip removal on beta-sets, and the
-two plethysm coefficients a^la_{(2),mu} / a^la_{(1,1),mu} from the identity
+character values from recursive border-strip removal on beta-sets, the
+stretched pairing <s_mu[p_p], s_la> from Littlewood's p-core / p-quotient
+rule (border strips of length p give the sign, the beta-set the quotient,
+and a multi-LR coefficient the value), and the two plethysm coefficients
+a^la_{(2),mu} / a^la_{(1,1),mu} from the identity
 
     s_mu * s_mu = (s_(2) o s_mu) + (s_(1,1) o s_mu)
 
-combined with the stretched inner product <s_mu[p_2], s_la>, so everything
-reduces to fillings and character values.
+combined with the stretched pairing at p = 2.  So the engine's Stage A
+reduces to fillings and border strips; character values serve the
+classification and the oracles.
 
 split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
 that enumerates fillings; lr_coefficient reads one of its entries.
@@ -21,7 +25,7 @@ from collections import Counter, defaultdict
 from functools import cache
 from math import factorial
 
-from .partitions import check_partition, partitions
+from .partitions import check_partition
 
 
 @cache
@@ -224,23 +228,31 @@ def lr_multi(la, factors):
 def stretch_coefficient(la, mu, p):
     """Coefficient of s_la in s_mu evaluated on p-th power sums, <s_mu[p_p], s_la>.
 
-    Equals sum over cycle types ct of |mu| of chi^la(p*ct) chi^mu(ct) / z_ct,
-    always an integer; non-integrality aborts loudly since every downstream
-    multiplicity would be corrupted.
+    Littlewood's rule: 0 unless la has an empty p-core, and then
+    sigma_p(la) * c^mu_{la^(0), ..., la^(p-1)}, where sigma_p(la) is the sign
+    of stripping la down to its core by p-rim hooks and la^(0..p-1) is its
+    p-quotient, read off a beta-set whose length is a multiple of p.  The
+    multi-LR coefficient is symmetric in its factors, so neither the order
+    of the quotient nor the choice of strips matters.
     """
     la, mu = tuple(la), tuple(mu)
     if sum(la) != p * sum(mu):
         raise ValueError("need |la| = p * |mu|")
-    m = sum(mu)
-    num = 0
-    for ct in partitions(m):
-        stretched = tuple(p * part for part in ct)
-        classes = factorial(m) // centralizer_order(ct)
-        num += classes * character_value(la, stretched) * character_value(mu, ct)
-    q, r = divmod(num, factorial(m))
-    if r:
-        raise ArithmeticError(f"stretched pairing not integral at {la}, {mu}, p={p}")
-    return q
+    core, sign = la, 1
+    while strips := _strip_removals(core, p):
+        core, s = strips[0]
+        sign *= s
+    if core:
+        return 0
+    r = -(-len(la) // p) * p
+    beta = [(la[i] if i < len(la) else 0) + r - 1 - i for i in range(r)]
+    quotient = []
+    for j in range(p):
+        xs = [b // p for b in beta if b % p == j]
+        part = tuple(x - (len(xs) - 1 - i) for i, x in enumerate(xs))
+        if part and part[0]:
+            quotient.append(tuple(x for x in part if x))
+    return sign * lr_multi(mu, quotient)
 
 
 def plethysm_split(la, mu):

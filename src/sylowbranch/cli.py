@@ -10,8 +10,10 @@ Commands:
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
-label, size mismatch, p not a prime, corrupt cache), 3 element budget
-exceeded, 4 verification failure.
+label, size mismatch, p not a prime, corrupt cache, a cache file that cannot
+be read or written, input too large for the recursion depth), 3 element
+budget exceeded, 4 verification failure.  With --cache the file is written
+only when it is new or the run computed a full vector it did not hold.
 
 Partitions are written as comma-separated parts with optional power
 shorthand: "8,2,1^6".  Linear labels are dotted digit strings per tower
@@ -22,6 +24,7 @@ hook form "y=3" is also accepted, and `lin` prints that form.
 
 import argparse
 import json
+import os
 import sys
 
 from . import closedform as cf
@@ -76,26 +79,38 @@ def _linear_text(psi):
     return "|".join(".".join(str(d) for d in f) if f else "e" for f in psi)
 
 
+def _cached(path, compute):
+    """compute() with the full-vector memo primed from the cache file at path.
+
+    The file is written only when it did not exist or the memo gained a
+    vector; save_cache output is deterministic, so skipping the write leaves
+    the same bytes.  An OSError on the file is a domain error.
+    """
+    if not path:
+        return compute()
+    try:
+        fresh = not os.path.exists(path)
+        engine.load_cache(path, missing_ok=True)
+        size = len(engine._full_memo)
+        result = compute()
+        if fresh or len(engine._full_memo) > size:
+            engine.save_cache(path)
+    except OSError as exc:
+        raise ValueError(f"cache file {path}: {exc.strerror or exc}") from exc
+    return result
+
+
 def cmd_sbc(args):
     la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
     psi = _parse_linear(args.linear, args.p, heights)
-    if args.cache:
-        engine.load_cache(args.cache, missing_ok=True)
-    value = engine.sbc(la, args.p, psi)
-    if args.cache:
-        engine.save_cache(args.cache)
-    print(value)
+    print(_cached(args.cache, lambda: engine.sbc(la, args.p, psi)))
 
 
 def cmd_lin(args):
     la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
-    if args.cache:
-        engine.load_cache(args.cache, missing_ok=True)
-    lc = engine.lin_constituents(la, args.p)
-    if args.cache:
-        engine.save_cache(args.cache)
+    lc = _cached(args.cache, lambda: engine.lin_constituents(la, args.p))
     if args.p == 2 and len(heights) == 1:
         k = heights[0]
         pairs = sorted((tw.linear_to_hook(k, f[0]), m) for f, m in lc.items())
@@ -108,12 +123,8 @@ def cmd_lin(args):
 def cmd_restrict(args):
     la = _parse_shape(args.la)
     p = args.p
-    heights = sylow_shape(sum(la), p)
-    if args.cache:
-        engine.load_cache(args.cache, missing_ok=True)
-    vec = engine.restrict_sylow(la, p)
-    if args.cache:
-        engine.save_cache(args.cache)
+    sylow_shape(sum(la), p)  # p is checked before the cache file is read
+    vec = _cached(args.cache, lambda: engine.restrict_sylow(la, p))
     rows = []
     for labels, m in vec.items():
         deg = 1
@@ -231,8 +242,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "budget", None) is not None:
-        import os
-
         os.environ["SYLOW_BRANCH_BUDGET"] = str(args.budget)
     try:
         args.fn(args)
@@ -244,6 +253,9 @@ def main(argv=None):
         return BUDGET_EXIT
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DOMAIN_EXIT
+    except RecursionError:
+        print(f"error: input too large: recursion deeper than {sys.getrecursionlimit()}", file=sys.stderr)
         return DOMAIN_EXIT
     return 0
 

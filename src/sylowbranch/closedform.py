@@ -217,9 +217,15 @@ def check_classification_domain(p, n):
 def odd_prime_classification(p, n, la):
     """Predicted number of linear constituents for an odd prime p.
 
-    Exact values are "1" for the trivial row/column, p-1 and p in the narrow
-    boxes at n = p^k and just above a p-power, the sporadic square at
-    (p, n) = (3, 9), and ">p" in all remaining cases.
+    Exact values are "1" for the trivial row/column, the exact count for
+    p <= n < 2p, p-1 and p in the narrow boxes at n = p^k and just above a
+    p-power, the sporadic square at (p, n) = (3, 9), and ">p" in all
+    remaining cases.
+
+    For p <= n < 2p the Sylow subgroup is cyclic, generated by a p-cycle g,
+    and <chi|, phi_j> = (chi(1) + (p [j = 0] - 1) chi(g)) / p, so phi_0
+    occurs iff chi(1) + (p - 1) chi(g) > 0 and each other phi_j iff
+    chi(1) > chi(g).
     """
     check_classification_domain(p, n)
     if p == 2:
@@ -229,6 +235,11 @@ def odd_prime_classification(p, n, la):
         raise ValueError(f"|{la}| != {n}")
     if la in ((n,), (1,) * n):
         return Outcome("1", "trivial", None)
+    if n < 2 * p:
+        deg = ch.sn_degree(la)
+        val = ch.character_value(la, (p,) + (1,) * (n - p))
+        count = (deg + (p - 1) * val > 0) + (p - 1) * (deg > val)
+        return Outcome(str(count), "cyclic", None)
     if _power_of(n, p) is not None:
         if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
             return Outcome(str(p - 1), "subhook", None)

@@ -23,9 +23,14 @@ through the symmetric-power counts N_s(m) = (m^p + (p-1)m)/p or (m^p - m)/p,
 and induced constituents restrict by Mackey's theorem with a single double
 coset, scattering products of factor multiplicities over orbit labels.  The
 scatter ranks the factor labels once by label_text, so an orbit label's
-least rotation is taken on int tuples and equals the one tw.orbit picks; a
+least rotation is taken on int tuples and equals the one tw.orbit picks.
+It is bilinear in the factor vectors: classes sharing their first p - 1
+factors are contracted into one vector for the last factor, products are
+summed on raw rank tuples, and each distinct tuple is rotated once.  A
 constant block visits only the (m^p - m)/p Lyndon words over its m labels,
 which for prime p are the least rotations of its non-constant necklaces.
+The stretched pairing D comes from Littlewood's p-quotient rule
+(characters.stretch_coefficient), not from a sum over cycle types.
 
 Every divisibility is asserted and every full vector is checked against
 dimension conservation; failures abort rather than round.
@@ -151,25 +156,37 @@ def _orbit_scatter(blocks, p):
     Labels are ranked by label_text, so least rotations are found on int
     tuples and agree with tw.orbit.  A constant block meets each induced
     label once, at its least rotation, so only the Lyndon words over its
-    rank-sorted labels are visited.
+    rank-sorted labels are visited.  The class blocks are bilinear in their
+    factor vectors: blocks whose first p - 1 vectors are the same memoised
+    dicts are contracted into one vector for the last factor, products are
+    summed on raw rank tuples, and each distinct tuple is rotated once.
     """
     labels = {lab for _, parts, _ in blocks for part in parts for lab in part}
     labels = sorted(labels, key=tw.label_text)
     rank = {lab: i for i, lab in enumerate(labels)}
     induced = defaultdict(int)
+    heads = {}
     for c, parts, constant in blocks:
-        ranked = [sorted((rank[lab], m) for lab, m in part.items()) for part in parts]
-        ranks = [[r for r, _ in part] for part in ranked]
-        mults = [[m for _, m in part] for part in ranked]
         if constant:
-            rs, ms = ranks[0], mults[0]
+            rs, ms = zip(*sorted((rank[lab], m) for lab, m in parts[0].items()))
             for word in tw.lyndon_words(len(rs), p):
                 induced[tuple(rs[i] for i in word)] += c * prod(ms[i] for i in word)
             continue
-        for key, ms in zip(product(*ranks), product(*mults)):
-            # a constant tuple belongs to the twisted part, counted in _stage_b
-            if key.count(key[0]) != p:
-                induced[min(tw.rotations(key))] += c * prod(ms)
+        _, last = heads.setdefault(tuple(map(id, parts[:-1])), (parts[:-1], defaultdict(int)))
+        for lab, m in parts[-1].items():
+            last[rank[lab]] += c * m
+    raw = defaultdict(int)
+    for head, last in heads.values():
+        ranks = [[rank[lab] for lab in part] for part in head]
+        tail = list(last.items())
+        for key, ms in zip(product(*ranks), product(*(part.values() for part in head))):
+            w = prod(ms)
+            for r, m in tail:
+                raw[key + (r,)] += w * m
+    for key, m in raw.items():
+        # a constant tuple belongs to the twisted part, counted in _stage_b
+        if key.count(key[0]) != p:
+            induced[min(tw.rotations(key))] += m
     return {("orb",) + tuple(labels[r] for r in key): m for key, m in induced.items()}
 
 

@@ -162,6 +162,25 @@ def test_split_pairs_orientation():
                 assert split_pairs(la, m) == want, (la, m)
 
 
+def _stretch_character_sum(la, mu, p):
+    """<s_mu[p_p], s_la> as sum over ct of chi^la(p ct) chi^mu(ct) / z_ct."""
+    total = sum(
+        Fraction(character_value(la, tuple(p * part for part in ct)) * character_value(mu, ct), centralizer_order(ct))
+        for ct in partitions(sum(mu))
+    )
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_stretch_coefficient_matches_character_sum():
+    # the p-core / p-quotient rule against the independent character sum
+    for p, m_max in ((2, 8), (3, 5), (5, 3), (7, 2)):
+        for m in range(m_max + 1):
+            for mu in partitions(m):
+                for la in partitions(p * m):
+                    assert stretch_coefficient(la, mu, p) == _stretch_character_sum(la, mu, p), (p, la, mu)
+
+
 def test_stretch_coefficient_is_plethysm_difference():
     # difference of the two halves: a2 - a11 for p=2
     for m in (1, 2, 3, 4):

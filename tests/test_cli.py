@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -133,9 +134,31 @@ def test_exit_code_domain():
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, args
 
 
-def test_exit_code_budget():
-    import os
+def test_exit_code_domain_for_cache_io_and_recursion_depth(tmp_path):
+    missing = str(tmp_path / "no" / "such" / "dir" / "x.json")
+    for args in (
+        ("restrict", "--p", "2", "--lambda", "2,1", "--cache", missing),
+        ("lin", "--p", "2", "--lambda", "1100"),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, args
+        assert "Traceback" not in r.stderr
 
+
+def test_python_dash_m_package():
+    r = subprocess.run(
+        [sys.executable, "-m", "sylowbranch", "sbc", "--p", "2", "--lambda", "6,2", "--linear", "y=0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "2\n"
+
+
+def test_exit_code_budget():
     env = dict(os.environ, SYLOW_BRANCH_BUDGET="4")
     r = run_cli("verify", "oracle", env=env)
     assert r.returncode == 3
@@ -161,6 +184,22 @@ def test_cache_roundtrip(tmp_path):
     warm = run_cli("restrict", "--p", "2", "--lambda", "4,3,1", "--cache", cache)
     assert warm.returncode == 0
     assert warm.stdout == cold.stdout
+
+
+def test_cache_written_only_when_the_memo_grows(tmp_path):
+    cache = tmp_path / "vec.json"
+    run_cli("restrict", "--p", "2", "--lambda", "4,3,1", "--cache", str(cache))
+    first = cache.read_bytes()
+    os.utime(cache, (0, 0))
+    # a cached shape and the linear slice add no full vector: no write
+    for args in (("restrict", "--lambda", "4,3,1"), ("lin", "--lambda", "4,3,1"), ("sbc", "--lambda", "4,4", "--linear", "y=0")):
+        assert run_cli(*args, "--p", "2", "--cache", str(cache)).returncode == 0
+        assert cache.stat().st_mtime == 0, args
+    assert cache.read_bytes() == first
+    # a new shape adds vectors and rewrites the file
+    assert run_cli("restrict", "--p", "2", "--lambda", "5,3", "--cache", str(cache)).returncode == 0
+    assert cache.stat().st_mtime > 0
+    assert len(json.loads(cache.read_text())["entries"]) > len(json.loads(first)["entries"])
 
 
 def test_cache_corrupt_label_rejected(tmp_path):

@@ -179,6 +179,16 @@ def test_odd_prime_classification_matches_engine_at_nine():
             assert got == int(out.count), la
 
 
+def test_odd_prime_classification_exact_for_cyclic_sylow():
+    # p <= n < 2p, where P_n = C_p; (2,2) at p = 3 is 2, not the box's 3
+    assert cf.odd_prime_classification(3, 4, (2, 2)) == ("2", "cyclic", None)
+    for p in (3, 5, 7):
+        for n in range(p, 2 * p):
+            for la in partitions(n):
+                out = cf.odd_prime_classification(p, n, la)
+                assert out.count == str(engine.count_lin(la, p)), (p, n, la)
+
+
 def test_almost_hook_linear_set():
     assert cf.almost_hook_linear_set(4, 6) == ("exact", (6, 9))
     assert cf.almost_hook_linear_set(4, 3) == ("witnesses", (3, 4, 5))

@@ -1,5 +1,8 @@
 import json
+import math
 import random
+from collections import defaultdict
+from itertools import product
 
 import pytest
 
@@ -218,13 +221,30 @@ def test_cache_rejects_label_of_wrong_height(tmp_path):
             engine.load_cache(path)
 
 
-def test_induced_labels_are_canonical_orbits():
-    for p, k_max in ((2, 4), (3, 2)):
+def _naive_tower(la, p, k):
+    """restrict_tower from the _stage_b blocks, scattering every product tuple through tw.orbit."""
+    acc, blocks = engine._stage_b(engine.restrict_tower, la, p, k, tw.twist)
+    tuples = defaultdict(int)
+    for c, parts, constant in blocks:
+        for combo in product(*(part.items() for part in parts)):
+            labs = tuple(lab for lab, _ in combo)
+            if len(set(labs)) > 1:
+                tuples[labs, constant] += c * math.prod(m for _, m in combo)
+    for (labs, constant), m in tuples.items():
+        orb = tw.orbit(labs)
+        # a constant block meets each orbit at all p rotations; count it at one
+        if not constant or orb[1:] == labs:
+            acc[orb] += m
+    return dict(acc)
+
+
+def test_restrict_tower_matches_naive_orbit_scatter():
+    # the reference builds every orbit label with tw.orbit, so equality also
+    # shows that each induced label is its text-least rotation
+    for p, k_max in ((2, 4), (3, 2), (5, 1)):
         for k in range(1, k_max + 1):
             for la in partitions(p**k):
-                for lab in engine.restrict_tower(la, p, k):
-                    if tw.is_orbit(lab):
-                        assert tw.orbit(lab[1:]) == lab, (la, lab)
+                assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
 
 
 def test_load_cache_missing_ok(tmp_path):
