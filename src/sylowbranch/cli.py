@@ -11,9 +11,10 @@ Commands:
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
 label, size mismatch, p not a prime, corrupt cache, a cache file that cannot
-be read or written, input too large for the recursion depth), 3 element
-budget exceeded, 4 verification failure.  With --cache the file is written
-only when it is new or the run computed a full vector it did not hold.
+be read or written, input too large for the recursion depth), 3 oracle
+budget on |P_n| exceeded, 4 verification failure.  With --cache the file is
+written only when it is new or the run computed a full vector it did not
+hold.
 
 Partitions are written as comma-separated parts with optional power
 shorthand: "8,2,1^6".  Linear labels are dotted digit strings per tower
@@ -233,7 +234,7 @@ def _build_parser():
     p_ver.add_argument("suite", nargs="?", default="all")
     p_ver.add_argument("--n-max", type=int, default=None, help="cap for the p=2 classification sweep")
     p_ver.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    p_ver.add_argument("--budget", type=int, default=None, help="element-enumeration budget override")
+    p_ver.add_argument("--budget", type=int, default=None, help="override the oracle budget on |P_n|")
     p_ver.set_defaults(fn=cmd_verify)
     return top
 

@@ -125,17 +125,6 @@ Outcome = namedtuple("Outcome", "count case witnesses")
 # linear labels (each a tuple of per-factor digit strings) or None.
 
 
-def _power_of(n, p):
-    """k with n = p^k, or None."""
-    if n < 1:
-        return None
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k if n == 1 else None
-
-
 def _trivial_witness(n, p):
     return tuple((0,) * h for h in sylow_shape(n, p))
 
@@ -169,8 +158,9 @@ def two_linear_classification(n, la):
         return Outcome("1", "trivial-row", (_trivial_witness(n, 2),))
     if la == (1,) * n:
         return Outcome("1", "trivial-column", (_sign_witness(n),))
-    k = _power_of(n, 2)
-    if k is not None:
+    heights = sylow_shape(n, 2)
+    if len(heights) == 1:
+        k = heights[0]
         t = hook_coordinate(la)
         if t is not None:
             return Outcome("1", "power-hook", ((hook_to_linear(k, t),),))
@@ -186,8 +176,9 @@ def two_linear_classification(n, la):
                 "2", "eight-sporadic", tuple((hook_to_linear(3, y),) for y in ys)
             )
         return Outcome(">2", "power-generic", None)
-    k = _power_of(n - 1, 2)
-    if k is not None and n > 2:
+    heights = sylow_shape(n - 1, 2)
+    if len(heights) == 1 and n > 2:
+        k = heights[0]
         t = hook_coordinate(la)
         if t is not None and 1 <= t <= n - 2:
             return Outcome(
@@ -240,7 +231,7 @@ def odd_prime_classification(p, n, la):
         val = ch.character_value(la, (p,) + (1,) * (n - p))
         count = (deg + (p - 1) * val > 0) + (p - 1) * (deg > val)
         return Outcome(str(count), "cyclic", None)
-    if _power_of(n, p) is not None:
+    if len(sylow_shape(n, p)) == 1:
         if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
             return Outcome(str(p - 1), "subhook", None)
         if p == 3 and n == 9 and la == (3, 3, 3):
@@ -250,7 +241,7 @@ def odd_prime_classification(p, n, la):
         return Outcome(">p", "power-generic", None)
     remainder = None
     for i in range(1, p):
-        if _power_of(n - i, p) is not None and n - i >= p:
+        if len(sylow_shape(n - i, p)) == 1 and n - i >= p:
             remainder = i
             break
     if remainder is not None:

@@ -2,10 +2,12 @@
 
 Two routes:
 
-  * direct inner products over the explicit elements of the Sylow subgroup,
-    exact in the cyclotomic integers Z[zeta_p] (integer accumulators per
-    power of zeta, reduced in the power basis; a result must come out
-    rational-integral and divisible by the group order);
+  * direct inner products over the Sylow subgroup, exact in the cyclotomic
+    integers Z[zeta_p] (integer accumulators per power of zeta, reduced in
+    the power basis; a result must come out rational-integral and divisible
+    by the group order).  The full oracle walks the explicit elements of the
+    tower; the linear one sums over (cycle type, signature) classes counted
+    by the wreath-product cycle-index recursion, so it builds no element;
 
   * a monomial-expansion plethysm oracle for s_(2) o s_mu and s_(1,1) o s_mu
     with |mu| <= 4: expand s_mu as a sum of monomials over semistandard
@@ -68,13 +70,51 @@ def _zeta_one(p, scale=1):
 
 # --------------------------------------------------- inner products over P_n
 
+def _convolve(left, right, join):
+    """Bucket product over disjoint points: cycle types merge, signatures join."""
+    out = Counter()
+    for (ct, sig), c in left.items():
+        for (rct, rsig), r in right.items():
+            out[tuple(sorted(ct + rct, reverse=True)), join(sig, rsig)] += c * r
+    return out
+
+
+@cache
+def _tower_buckets(p, k):
+    """Counter of (cycle type, level signature) over the height-k tower.
+
+    Polya's cycle index for H wr C_p (Kerber, Representations of Permutation
+    Groups), H the height k-1 tower: an element with top shift 0 is a p-tuple
+    of H-elements, so its bucket is the p-fold convolution of H's; one with
+    top shift s != 0 has the cycles of its cycle product in H stretched p
+    times, and each element of H is the cycle product of |H|^(p-1) tuples.
+    """
+    if k == 0:
+        return Counter({((1,), ()): 1})
+    below = _tower_buckets(p, k - 1)
+    acc = Counter({((), (0,) * (k - 1)): 1})
+    for _ in range(p):
+        acc = _convolve(acc, below, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)))
+    out = Counter({(ct, sig + (0,)): c for (ct, sig), c in acc.items()})
+    weight = sum(below.values()) ** (p - 1)
+    for s in range(1, p):
+        for (ct, sig), c in below.items():
+            out[tuple(p * x for x in ct), sig + (s,)] += c * weight
+    return out
+
+
 @cache
 def _signature_buckets(n, p):
     """Counter of (cycle type, per-factor signature) over the Sylow subgroup.
 
-    Callers check the element budget first; this enumerates the whole group.
+    The product of the factors' _tower_buckets: the factors act on disjoint
+    points, so cycle types merge and each factor keeps its own signature.
+    No element is built, so the budget is the caller's check on |P_n|.
     """
-    return Counter(tw.sylow_elements(n, p, budget=tw.sylow_order(n, p)))
+    acc = Counter({((), ()): 1})
+    for h in sylow_shape(n, p):
+        acc = _convolve(acc, _tower_buckets(p, h), lambda sigs, sig: sigs + (sig,))
+    return acc
 
 
 def oracle_linear_multiplicity(la, p, psi, budget=None):
@@ -187,11 +227,12 @@ def oracle_full_restriction(la, p, budget=None):
 
 # ------------------------------------------------- monomial plethysm oracle
 
-def _ssyt_monomials(shape, nvars):
+def _ssyt_monomials(shape, nvars, content=None):
     """Monomial expansion of the Schur polynomial: dict exponent -> count.
 
     Straight-shape semistandard tableaux with entries <= nvars; exponents are
-    full length-nvars tuples.
+    full length-nvars tuples.  A content caps how often each entry occurs,
+    which prunes the walk to the tableaux below it.
     """
     shape = tuple(shape)
     counts = [0] * (nvars + 1)
@@ -208,6 +249,8 @@ def _ssyt_monomials(shape, nvars):
         if r:
             lo = max(lo, grid[r - 1, c] + 1)
         for v in range(lo, nvars + 1):
+            if content is not None and counts[v] >= content[v - 1]:
+                continue
             grid[r, c] = v
             counts[v] += 1
             fill(pos + 1)
@@ -224,32 +267,7 @@ def _kostka(shape, content):
     shape, content = tuple(shape), tuple(content)
     if sum(shape) != sum(content):
         return 0
-    nvars = len(content)
-    counts = [0] * (nvars + 1)
-    grid = {}
-    hits = 0
-    cells = [(r, c) for r, part in enumerate(shape) for c in range(part)]
-
-    def fill(pos):
-        nonlocal hits
-        if pos == len(cells):
-            hits += 1
-            return
-        r, c = cells[pos]
-        lo = grid[r, c - 1] if c else 1
-        if r:
-            lo = max(lo, grid[r - 1, c] + 1)
-        for v in range(lo, nvars + 1):
-            if counts[v] >= content[v - 1]:
-                continue
-            grid[r, c] = v
-            counts[v] += 1
-            fill(pos + 1)
-            counts[v] -= 1
-        grid.pop((r, c), None)
-
-    fill(0)
-    return hits
+    return _ssyt_monomials(shape, len(content), content).get(content, 0)
 
 
 def _poly_square(poly):
@@ -300,26 +318,27 @@ def _schur_expand(poly, total, nvars):
 
 
 @cache
-def _plethysm_expansion(kind, mu):
-    """Schur expansion of s_(2) o s_mu (kind "sym") or s_(1,1) o s_mu (kind "alt")."""
+def _plethysm_expansion(mu):
+    """Schur expansions of s_(2) o s_mu and s_(1,1) o s_mu, from one square.
+
+    The two are (s_mu^2 + s_mu[p_2]) / 2 and (s_mu^2 - s_mu[p_2]) / 2.
+    """
     mu = tuple(mu)
     total = 2 * sum(mu)
     nvars = total
     base = _ssyt_monomials(mu, nvars)
     squared = _poly_square(base)
     doubled = {tuple(2 * e for e in exp): c for exp, c in base.items()}
-    combined = defaultdict(int, squared)
-    sign = 1 if kind == "sym" else -1
-    for exp, c in doubled.items():
-        combined[exp] += sign * c
-    halved = {}
-    for exp, c in combined.items():
-        q, r = divmod(c, 2)
-        if r:
+    expansions = []
+    for sign in (1, -1):
+        combined = defaultdict(int, squared)
+        for exp, c in doubled.items():
+            combined[exp] += sign * c
+        if any(c % 2 for c in combined.values()):
             raise ArithmeticError("plethysm expansion is not integral")
-        if q:
-            halved[exp] = q
-    return _schur_expand(halved, total, nvars)
+        halved = {exp: c // 2 for exp, c in combined.items() if c}
+        expansions.append(_schur_expand(halved, total, nvars))
+    return tuple(expansions)
 
 
 def oracle_plethysm_coefficient(nu, mu, la):
@@ -329,10 +348,7 @@ def oracle_plethysm_coefficient(nu, mu, la):
         raise ValueError("monomial oracle is limited to |mu| <= 4")
     if sum(la) != 2 * sum(mu):
         raise ValueError("need |la| = 2|mu|")
-    if nu == (2,):
-        kind = "sym"
-    elif nu == (1, 1):
-        kind = "alt"
-    else:
+    if nu not in ((2,), (1, 1)):
         raise ValueError(f"outer shape must be (2) or (1,1), got {nu}")
-    return _plethysm_expansion(kind, mu).get(la, 0)
+    sym, alt = _plethysm_expansion(mu)
+    return (sym if nu == (2,) else alt).get(la, 0)

@@ -14,8 +14,8 @@ recursively here by
 Linear labels are nested twist chains, identified with digit strings
 (d_1, ..., d_k), innermost digit first.  For p = 2 the degree-2^k hooks
 biject onto these digit strings; the bijection and its sign twist live here.
-The module also provides the explicit permutation model of P_n inside S_n
-used by the brute-force oracle, with elements carried as nested
+The module also provides the explicit permutation model of the tower inside
+S_{p^k} used by the full brute-force oracle, with elements carried as nested
 (children, top-cycle) pairs.
 """
 
@@ -23,13 +23,13 @@ import os
 from functools import cache
 from itertools import product
 
-from .partitions import check_prime, sylow_shape
+from .partitions import check_prime
 
 LEAF = ()
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an element enumeration would exceed the configured budget."""
+    """Raised when the Sylow subgroup order |P_n| is over the configured budget."""
 
 
 def twist(inner, t):
@@ -188,6 +188,7 @@ def label_text(label):
     return label_text(inner) + "." + str(t)
 
 
+@cache
 def parse_label(text):
     """Inverse of label_text."""
     text = text.strip()
@@ -360,10 +361,12 @@ def perm_cycle_type(perm):
 
 
 def check_budget(n, p, budget=None):
-    """|P_n|, or BudgetExceeded when it is over the element budget.
+    """|P_n|, or BudgetExceeded when it is over the budget on |P_n|.
 
-    An explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is
-    read, and the default is 2^20.
+    Both oracles call this first: the full oracle walks all |P_n| elements,
+    the linear one sums over the class counts of _signature_buckets.  An
+    explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is read,
+    and the default is 2^20.
     """
     if budget is None:
         budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
@@ -372,25 +375,3 @@ def check_budget(n, p, budget=None):
         raise BudgetExceeded(f"|P_{n}| = {order} exceeds the element budget {budget}")
     return order
 
-
-def sylow_elements(n, p, budget=None):
-    """Stream every element of the Sylow p-subgroup of S_n exactly once.
-
-    Yields (cycle type in S_n, per-factor signature tuple).  Factors act on
-    consecutive blocks of points ordered by ascending tower height, so the
-    cycle type is just the multiset union across factors.  `budget` caps the
-    group order as in check_budget.
-    """
-    heights = sylow_shape(n, p)
-    check_budget(n, p, budget)
-    factors = []
-    for h in heights:
-        els = tower_elements(p, h)
-        factors.append(
-            [(perm_cycle_type(element_perm(p, el)), element_signature(p, el)) for el in els]
-        )
-    for combo in product(*factors):
-        ct = tuple(
-            sorted((part for fct, _ in combo for part in fct), reverse=True)
-        )
-        yield ct, tuple(sig for _, sig in combo)

@@ -33,6 +33,12 @@ from .partitions import (
 Result = namedtuple("Result", "name ok detail")
 
 DEFAULT_SEED = 20260816
+# Suite sizes: seeded k=5 engine checks in hook-grid, seeded n=16 linear
+# labels in oracle, and the prime and range of n that classify-odd sweeps.
+HOOK_GRID_ENGINE_TRIPLES = 50
+ORACLE_SAMPLE = 20
+CLASSIFY_ODD_P = 3
+CLASSIFY_ODD_RANGE = (9, 12)
 
 
 def _result(name, failures, detail_ok):
@@ -43,7 +49,7 @@ def _result(name, failures, detail_ok):
     return Result(name, True, detail_ok)
 
 
-def hook_grid(seed=DEFAULT_SEED, engine_triples=50):
+def hook_grid(seed=DEFAULT_SEED):
     """Closed form == recursion == engine on the almost-hook grids.
 
     Exhaustive with the engine for k in {2,3,4}; at k=5 the two evaluation
@@ -71,7 +77,7 @@ def hook_grid(seed=DEFAULT_SEED, engine_triples=50):
             if f != r:
                 failures.append(f"k=5 x={x} y={y}: formula {f} != recursion {r}")
     rng = random.Random(seed)
-    for _ in range(engine_triples):
+    for _ in range(HOOK_GRID_ENGINE_TRIPLES):
         x, y = rng.randrange(29), rng.randrange(32)
         f = cf.almost_hook_sbc(5, x, y)
         e = engine.sbc(almost_hook(32, x), 2, tw.hook_to_linear(5, y))
@@ -82,7 +88,7 @@ def hook_grid(seed=DEFAULT_SEED, engine_triples=50):
         "hook-grid",
         failures,
         f"{checked} triples: closed form == recursion == engine "
-        f"(k=2..4 exhaustive, k=5 grid + {engine_triples} seeded engine checks)",
+        f"(k=2..4 exhaustive, k=5 grid + {HOOK_GRID_ENGINE_TRIPLES} seeded engine checks)",
     )
 
 
@@ -145,12 +151,11 @@ def classify_two(n_max=17):
     )
 
 
-def classify_odd(p=3, n_range=(9, 12)):
-    """Engine counts vs the odd-prime classification for n in the range."""
-    failures, shapes = _classification_sweep(p, range(n_range[0], n_range[1] + 1))
-    return _result(
-        "classify-odd", failures, f"p={p}: {shapes} shapes over n={n_range[0]}..{n_range[1]}"
-    )
+def classify_odd():
+    """Engine counts vs the odd-prime classification at CLASSIFY_ODD_P."""
+    lo, hi = CLASSIFY_ODD_RANGE
+    failures, shapes = _classification_sweep(CLASSIFY_ODD_P, range(lo, hi + 1))
+    return _result("classify-odd", failures, f"p={CLASSIFY_ODD_P}: {shapes} shapes over n={lo}..{hi}")
 
 
 def degree_floor():
@@ -169,8 +174,8 @@ def degree_floor():
     return _result("degree-floor", failures, f"{shapes} divisible-degree shapes at (2,<=16) and (3,<=11)")
 
 
-def oracle_equivalence(seed=DEFAULT_SEED, sample=20):
-    """Engine vs element-summation oracle.
+def oracle_equivalence(seed=DEFAULT_SEED):
+    """Engine vs the brute-force oracles.
 
     Full-vector equality for every shape at n in {4, 8} (p=2) and n=9 (p=3);
     seeded linear-label spot checks at n=16.
@@ -184,7 +189,7 @@ def oracle_equivalence(seed=DEFAULT_SEED, sample=20):
                 failures.append(f"full vector differs at {la} (p={p})")
     rng = random.Random(seed)
     las = list(partitions(16))
-    for _ in range(sample):
+    for _ in range(ORACLE_SAMPLE):
         la = rng.choice(las)
         digits = tuple(rng.randrange(2) for _ in range(4))
         checked += 1
@@ -192,7 +197,7 @@ def oracle_equivalence(seed=DEFAULT_SEED, sample=20):
             failures.append(f"linear multiplicity differs at {la}, {digits}")
     return _result(
         "oracle", failures,
-        f"{checked} comparisons: full vectors at n=4,8 (p=2) and n=9 (p=3), {sample} seeded n=16 labels",
+        f"{checked} comparisons: full vectors at n=4,8 (p=2) and n=9 (p=3), {ORACLE_SAMPLE} seeded n=16 labels",
     )
 
 

@@ -1,12 +1,15 @@
+import math
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from sylowbranch import engine
 from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
-from sylowbranch.characters import plethysm_split
-from sylowbranch.partitions import partitions
+from sylowbranch.characters import character_value, plethysm_split
+from sylowbranch.partitions import partitions, sylow_shape
 
 
 def test_zeta_int_reduction():
@@ -93,6 +96,59 @@ def test_explicit_budget_beats_environment(monkeypatch):
     assert orc.oracle_full_restriction((4,), 2, budget=8) == {tw.linear_label((0, 0)): 1}
     with pytest.raises(tw.BudgetExceeded):
         orc.oracle_linear_multiplicity((4,), 2, (0, 0))
+
+
+def _element_buckets(p, k):
+    """(cycle type, level signature) counts over the tower, element by element."""
+    return Counter(
+        (tw.perm_cycle_type(tw.element_perm(p, el)), tw.element_signature(p, el))
+        for el in tw.tower_elements(p, k)
+    )
+
+
+def test_tower_buckets_match_the_element_walk():
+    for p, kmax in ((2, 4), (3, 2), (5, 1)):
+        for k in range(kmax + 1):
+            assert orc._tower_buckets(p, k) == _element_buckets(p, k), (p, k)
+
+
+def test_signature_buckets_are_the_factor_product():
+    for n, p in ((6, 2), (7, 2), (12, 3)):
+        factors = [_element_buckets(p, h).items() for h in sylow_shape(n, p)]
+        want = Counter()
+        for combo in product(*factors):
+            ct = tuple(sorted((x for (fct, _), _ in combo for x in fct), reverse=True))
+            want[ct, tuple(sig for (_, sig), _ in combo)] += math.prod(c for _, c in combo)
+        got = orc._signature_buckets(n, p)
+        assert got == want, (n, p)
+        assert sum(got.values()) == tw.sylow_order(n, p)
+
+
+def test_linear_oracle_matches_engine_at_bench_sizes():
+    rng = random.Random(20261017)
+    for n, p in ((32, 2), (27, 3), (25, 5)):
+        # two shapes per size, three labels each: the engine's linear vector
+        # is memoised per shape, the oracle pays per label
+        for la in rng.sample(partitions(n), 2):
+            for _ in range(3):
+                psi = tuple(tuple(rng.randrange(p) for _ in range(h)) for h in sylow_shape(n, p))
+                got = orc.oracle_linear_multiplicity(la, p, psi, budget=tw.sylow_order(n, p))
+                assert got == engine.sbc(la, p, psi), (la, psi)
+
+
+def test_norm_identity_over_cycle_types():
+    # sum of m^2 over the full vector = <chi|, chi|>_P = (1/|P|) sum_ct count(ct) chi(ct)^2
+    cases = [(la, 2) for la in partitions(16)]
+    cases += [((32,), 2)] + [((32 - b, b), 2) for b in range(1, 5)]
+    cases += [(la, 3) for la in ((27,), (26, 1), (25, 2), (24, 3), (9, 9, 9))]
+    for la, p in cases:
+        n = sum(la)
+        counts = Counter()
+        for (ct, _), c in orc._signature_buckets(n, p).items():
+            counts[ct] += c
+        total = sum(c * character_value(la, ct) ** 2 for ct, c in counts.items())
+        norm = sum(m * m for m in engine.restrict_sylow(la, p).values())
+        assert total == tw.sylow_order(n, p) * norm, (la, p)
 
 
 def test_kostka_numbers():
