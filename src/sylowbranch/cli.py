@@ -10,11 +10,14 @@ Commands:
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
-label, size mismatch, p not a prime, corrupt cache, a cache file that cannot
-be read or written, input too large for the recursion depth), 3 oracle
-budget on |P_n| exceeded, 4 verification failure.  With --cache the file is
-written only when it is new or the run computed a full vector it did not
-hold.
+label, size mismatch, table --k below 2, p not a prime, corrupt cache, a
+cache file that cannot be read or written, input too large for the recursion
+depth), 3 oracle budget on |P_n| exceeded, 4 verification failure.
+
+Only restrict reads and writes the --cache file; it writes it only when the
+file is new or the run computed a full vector the file did not hold.  lin
+and sbc accept --cache and leave the file alone, because the linear slice
+reads no full vector.
 
 Partitions are written as comma-separated parts with optional power
 shorthand: "8,2,1^6".  Linear labels are dotted digit strings per tower
@@ -80,38 +83,17 @@ def _linear_text(psi):
     return "|".join(".".join(str(d) for d in f) if f else "e" for f in psi)
 
 
-def _cached(path, compute):
-    """compute() with the full-vector memo primed from the cache file at path.
-
-    The file is written only when it did not exist or the memo gained a
-    vector; save_cache output is deterministic, so skipping the write leaves
-    the same bytes.  An OSError on the file is a domain error.
-    """
-    if not path:
-        return compute()
-    try:
-        fresh = not os.path.exists(path)
-        engine.load_cache(path, missing_ok=True)
-        size = len(engine._full_memo)
-        result = compute()
-        if fresh or len(engine._full_memo) > size:
-            engine.save_cache(path)
-    except OSError as exc:
-        raise ValueError(f"cache file {path}: {exc.strerror or exc}") from exc
-    return result
-
-
 def cmd_sbc(args):
     la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
     psi = _parse_linear(args.linear, args.p, heights)
-    print(_cached(args.cache, lambda: engine.sbc(la, args.p, psi)))
+    print(engine.sbc(la, args.p, psi))
 
 
 def cmd_lin(args):
     la = _parse_shape(args.la)
     heights = sylow_shape(sum(la), args.p)
-    lc = _cached(args.cache, lambda: engine.lin_constituents(la, args.p))
+    lc = engine.lin_constituents(la, args.p)
     if args.p == 2 and len(heights) == 1:
         k = heights[0]
         pairs = sorted((tw.linear_to_hook(k, f[0]), m) for f, m in lc.items())
@@ -123,9 +105,20 @@ def cmd_lin(args):
 
 def cmd_restrict(args):
     la = _parse_shape(args.la)
-    p = args.p
+    p, path = args.p, args.cache
     sylow_shape(sum(la), p)  # p is checked before the cache file is read
-    vec = _cached(args.cache, lambda: engine.restrict_sylow(la, p))
+    # save_cache output is deterministic, so a skipped write leaves the same
+    # bytes; an OSError on the file is a domain error
+    try:
+        fresh = bool(path) and not os.path.exists(path)
+        if path and not fresh:
+            engine.load_cache(path)
+        size = len(engine._full_memo)
+        vec = engine.restrict_sylow(la, p)
+        if fresh or (path and len(engine._full_memo) > size):
+            engine.save_cache(path)
+    except OSError as exc:
+        raise ValueError(f"cache file {path}: {exc.strerror or exc}") from exc
     rows = []
     for labels, m in vec.items():
         deg = 1
@@ -171,6 +164,8 @@ def cmd_table(args):
     from .partitions import almost_hook
 
     k = args.k
+    if k < 2:
+        raise ValueError(f"the almost-hook grid needs k >= 2, got {k}")
     n = 2**k
     print("x\ty\tB(y)\tformula\tengine")
     for x in range(n - 3):
@@ -204,7 +199,7 @@ def _build_parser():
     def common(p_):
         p_.add_argument("--p", type=int, default=2, help="prime (default 2)")
         p_.add_argument("--lambda", dest="la", required=True, help='partition, e.g. "8,2,1^6"')
-        p_.add_argument("--cache", help="JSON cache file for restriction vectors")
+        p_.add_argument("--cache", help="JSON cache of full restriction vectors (restrict only reads and writes it)")
 
     p_sbc = sub.add_parser("sbc", help="one branching coefficient")
     common(p_sbc)
@@ -242,6 +237,7 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    saved = os.environ.get("SYLOW_BRANCH_BUDGET")
     if getattr(args, "budget", None) is not None:
         os.environ["SYLOW_BRANCH_BUDGET"] = str(args.budget)
     try:
@@ -258,6 +254,11 @@ def main(argv=None):
     except RecursionError:
         print(f"error: input too large: recursion deeper than {sys.getrecursionlimit()}", file=sys.stderr)
         return DOMAIN_EXIT
+    finally:
+        if saved is None:
+            os.environ.pop("SYLOW_BRANCH_BUDGET", None)
+        else:
+            os.environ["SYLOW_BRANCH_BUDGET"] = saved
     return 0
 
 

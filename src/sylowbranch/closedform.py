@@ -20,6 +20,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import characters as ch
+from . import oracle
 from .partitions import (
     almost_hook,
     almost_hook_coordinate,
@@ -70,15 +71,6 @@ def almost_hook_sbc(k, x, y):
 
 
 @cache
-def _recursion_base(k, x, y):
-    """Small-tower values for the recursion, from the brute oracle (not the formula)."""
-    from . import oracle
-
-    la = almost_hook(2**k, x)
-    return oracle.oracle_linear_multiplicity(la, 2, hook_to_linear(k, y))
-
-
-@cache
 def almost_hook_sbc_recursive(k, x, y):
     """Same multiplicity by one level of restriction through the wreath product.
 
@@ -89,11 +81,11 @@ def almost_hook_sbc_recursive(k, x, y):
     so this path stays independent of the closed form.
     """
     _check_grid(k, x, y)
+    la = almost_hook(2**k, x)
     if k <= 3:
-        return _recursion_base(k, x, y)
+        return oracle.oracle_linear_multiplicity(la, 2, hook_to_linear(k, y))
     z = y // 2
     j = y % 2 if z % 2 == 0 else 1 - y % 2
-    la = almost_hook(2**k, x)
     mu = hook(2 ** (k - 1), z)
     total = ch.plethysm_split(la, mu)[j]
     for l in (0, 1):

@@ -51,7 +51,6 @@ from .partitions import check_partition, sylow_shape
 
 _full_memo = {}
 _lin_memo = {}
-_stage_a_memo = {}
 
 
 def _twist_weights(p, c, d):
@@ -84,10 +83,6 @@ def _stage_a(la, p, k):
     Returns (classes, consts) where classes maps a canonical p-tuple of
     partitions to its multiplicity and consts maps mu to (c, twist weights).
     """
-    key = (p, k, la)
-    hit = _stage_a_memo.get(key)
-    if hit is not None:
-        return hit
     m = p ** (k - 1)
     classes = {}
     consts = {}
@@ -100,9 +95,7 @@ def _stage_a(la, p, k):
             canonical = min(tw.rotations(mus))
             if canonical not in classes:
                 classes[canonical] = c
-    result = (classes, consts)
-    _stage_a_memo[key] = result
-    return result
+    return classes, consts
 
 
 def _check_size(la, p, k):
@@ -319,13 +312,13 @@ def save_cache(path):
         fh.write("\n")
 
 
-def load_cache(path, missing_ok=False):
-    """Prime the full-vector memo from a cache file; stale versions are rejected."""
-    import json
-    import os
+def load_cache(path):
+    """Prime the full-vector memo from an existing cache file.
 
-    if missing_ok and not os.path.exists(path):
-        return 0
+    A missing file raises OSError; a stale version or corrupt entry ValueError.
+    """
+    import json
+
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != CACHE_FORMAT:

@@ -3,6 +3,9 @@ import os
 import subprocess
 import sys
 
+from sylowbranch import tower as tw
+from sylowbranch.cli import main
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -126,8 +129,15 @@ def test_exit_code_domain():
         r = run_cli("lin", "--p", p, "--lambda", la)
         assert r.returncode == 2, (p, r.stdout)
         assert "prime" in r.stderr
-    # the empty partition is rejected with one error line, not a traceback
-    for args in (("lin", "--lambda", ""), ("restrict", "--lambda", ""), ("classify", "--p", "2", "--n", "0")):
+    # the empty partition and a hook grid below k = 2 are rejected with one
+    # error line, not a traceback or a bare header
+    for args in (
+        ("lin", "--lambda", ""),
+        ("restrict", "--lambda", ""),
+        ("classify", "--p", "2", "--n", "0"),
+        ("table", "--k", "-1"),
+        ("table", "--k", "1"),
+    ):
         r = run_cli(*args)
         assert r.returncode == 2, (args, r.stderr)
         assert r.stdout == ""
@@ -167,6 +177,13 @@ def test_exit_code_budget():
     assert run_cli("verify", "oracle", "--budget", "0").returncode == 3
 
 
+def test_budget_option_does_not_outlive_the_call(monkeypatch):
+    monkeypatch.delenv("SYLOW_BRANCH_BUDGET", raising=False)
+    assert main(["verify", "small-sets", "--budget", "0"]) == 0
+    assert "SYLOW_BRANCH_BUDGET" not in os.environ
+    assert tw.check_budget(4, 2) == 8
+
+
 def test_exit_code_verification_failure():
     r = run_cli("verify", "structure")
     assert r.returncode == 4
@@ -202,23 +219,44 @@ def test_cache_written_only_when_the_memo_grows(tmp_path):
     assert len(json.loads(cache.read_text())["entries"]) > len(json.loads(first)["entries"])
 
 
+def _corrupt_label_doc(text):
+    # the degree sum of (2) still matches, so only the label check catches text
+    return {
+        "format": "sylowbranch-restriction-cache",
+        "version": 1,
+        "primes": [2],
+        "max_k": 1,
+        "entries": [{"p": 2, "k": 1, "lambda": "2", "vector": [[text, 1]]}],
+    }
+
+
 def test_cache_corrupt_label_rejected(tmp_path):
     cache = tmp_path / "vec.json"
-    # the degree sum of (2) still matches, so only the label check catches these
     for text in ("0.0.5", "5"):
-        doc = {
-            "format": "sylowbranch-restriction-cache",
-            "version": 1,
-            "primes": [2],
-            "max_k": 1,
-            "entries": [{"p": 2, "k": 1, "lambda": "2", "vector": [[text, 1]]}],
-        }
+        doc = _corrupt_label_doc(text)
         cache.write_text(json.dumps(doc))
         r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache))
         assert r.returncode == 2, (text, r.stdout)
         assert "corrupt cache entry" in r.stderr
         assert r.stdout == ""
         assert json.loads(cache.read_text()) == doc
+
+
+def test_lin_and_sbc_leave_the_cache_file_alone(tmp_path):
+    # the linear slice reads no full vector, so lin and sbc never open the file
+    cache = tmp_path / "vec.json"
+    cache.write_text(json.dumps(_corrupt_label_doc("0.0.5")))
+    before = cache.read_bytes()
+    for args in (("lin", "--lambda", "6,2"), ("sbc", "--lambda", "6,2", "--linear", "y=0")):
+        plain = run_cli(*args, "--p", "2")
+        cached = run_cli(*args, "--p", "2", "--cache", str(cache))
+        assert plain.returncode == cached.returncode == 0, (args, cached.stderr)
+        assert cached.stdout == plain.stdout
+        assert cache.read_bytes() == before
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    r = run_cli("lin", "--p", "2", "--lambda", "6,2", "--cache", str(missing))
+    assert r.returncode == 0, r.stderr
+    assert not (tmp_path / "no").exists()
 
 
 def test_cache_nonpositive_multiplicity_rejected(tmp_path):

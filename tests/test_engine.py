@@ -5,6 +5,8 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowbranch import engine
 from sylowbranch import tower as tw
@@ -156,16 +158,40 @@ def test_meeting_set_lower_bound_at_sixteen():
         assert engine.count_lin(la, 2) >= len(shared), la
 
 
+def _sgn_twisted(lc, heights):
+    """Linear constituents at p = 2 times the sign, by the per-factor sign twist."""
+    return {
+        tuple(tw.sgn_twist(h, d) if h else d for d, h in zip(f, heights)): m
+        for f, m in lc.items()
+    }
+
+
 def test_conjugation_twist_symmetry():
     for n in (8, 12):
         heights = sylow_shape(n, 2)
         for la in partitions(n):
             lc = engine.lin_constituents(la, 2)
-            twisted = {
-                tuple(tw.sgn_twist(h, d) if h else d for d, h in zip(f, heights)): m
-                for f, m in lc.items()
-            }
-            assert twisted == engine.lin_constituents(conjugate(la), 2)
+            assert _sgn_twisted(lc, heights) == engine.lin_constituents(conjugate(la), 2)
+
+
+@st.composite
+def prime_and_shape(draw):
+    """p = 2 with a shape of n <= 24, or p = 3 with a shape of n <= 15."""
+    p, n_max = draw(st.sampled_from(((2, 24), (3, 15))))
+    n = draw(st.integers(1, n_max))
+    return p, draw(st.sampled_from(partitions(n)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(prime_and_shape())
+def test_conjugation_twist_on_drawn_shapes(case):
+    # sgn restricts to the per-factor sign twist at p = 2 and to the trivial
+    # character of the odd-order P_n at p = 3
+    p, la = case
+    lc = engine.lin_constituents(la, p)
+    if p == 2:
+        lc = _sgn_twisted(lc, sylow_shape(sum(la), p))
+    assert engine.lin_constituents(conjugate(la), p) == lc
 
 
 def test_cache_roundtrip(tmp_path):
@@ -246,6 +272,3 @@ def test_restrict_tower_matches_naive_orbit_scatter():
             for la in partitions(p**k):
                 assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
 
-
-def test_load_cache_missing_ok(tmp_path):
-    assert engine.load_cache(tmp_path / "absent.json", missing_ok=True) == 0
