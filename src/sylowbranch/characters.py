@@ -13,6 +13,11 @@ combined with the stretched pairing at p = 2.  So the engine's Stage A
 reduces to fillings and border strips; character values serve the
 classification and the oracles.
 
+cyclic_split is the one place a character of C_p is split over the p
+linear characters: the plethysm split, the engine's twist weights and
+symmetric-power counts, and the cyclic case of the odd-prime
+classification all call it.
+
 split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
 that enumerates fillings; lr_coefficient reads one of its entries.
 young_decompose folds it over any number of blocks, peeling the last block
@@ -255,20 +260,27 @@ def stretch_coefficient(la, mu, p):
     return sign * lr_multi(mu, quotient)
 
 
+def cyclic_split(p, c, d):
+    """Multiplicities of the p linear characters of C_p in a character of it.
+
+    The character has degree c and value d on a generator; the trivial
+    character occurs (c + (p-1) d)/p times and each other one (c - d)/p
+    times.  Raises ArithmeticError unless every one is a nonnegative
+    integer.
+    """
+    q, r = divmod(c - d, p)
+    if r or q < 0 or q + d < 0:
+        raise ArithmeticError(f"cyclic split not a nonneg integer: p={p}, c={c}, d={d}")
+    return (q + d,) + (q,) * (p - 1)
+
+
 def plethysm_split(la, mu):
     """(a^la_{(2),mu}, a^la_{(1,1),mu}), the two degree-2 plethysm coefficients.
 
-    a2 = (c^la_{mu,mu} + D)/2 and a11 = (c^la_{mu,mu} - D)/2 where D is the
-    stretched pairing at p=2; both halves must come out as nonnegative
-    integers or the computation is broken.
+    The cyclic split at p = 2 of c^la_{mu,mu} and the stretched pairing D:
+    a2 = (c^la_{mu,mu} + D)/2 and a11 = (c^la_{mu,mu} - D)/2.
     """
     la, mu = check_partition(la), check_partition(mu)
     if sum(la) != 2 * sum(mu):
         raise ValueError("need |la| = 2|mu|")
-    c = lr_coefficient(la, mu, mu)
-    d = stretch_coefficient(la, mu, 2)
-    a2, r2 = divmod(c + d, 2)
-    a11, r11 = divmod(c - d, 2)
-    if r2 or r11 or a2 < 0 or a11 < 0:
-        raise ArithmeticError(f"bad plethysm split at {la}, {mu}: c={c}, D={d}")
-    return a2, a11
+    return cyclic_split(2, lr_coefficient(la, mu, mu), stretch_coefficient(la, mu, 2))

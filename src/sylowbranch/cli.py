@@ -10,9 +10,10 @@ Commands:
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
-label, size mismatch, table --k below 2, p not a prime, corrupt cache, a
-cache file that cannot be read or written, input too large for the recursion
-depth), 3 oracle budget on |P_n| exceeded, 4 verification failure.
+label, size mismatch, table --k below 2, verify --n-max below 4, p not a
+prime, corrupt cache, a cache file that cannot be read or written, input
+too large for the recursion depth), 3 oracle budget on |P_n| exceeded,
+4 verification failure.
 
 Only restrict reads and writes the --cache file; it writes it only when the
 file is new or the run computed a full vector the file did not hold.  lin
@@ -35,7 +36,7 @@ from . import closedform as cf
 from . import engine
 from . import tower as tw
 from . import verify as ver
-from .partitions import format_partition, parse_partition, partitions, sylow_shape
+from .partitions import almost_hook, format_partition, parse_partition, partitions, sylow_shape
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -161,8 +162,6 @@ def cmd_table(args):
     name = ver.ALIASES.get(args.name, args.name)
     if name != "hook-grid":
         raise ValueError(f"unknown table {args.name!r} (available: hook-grid)")
-    from .partitions import almost_hook
-
     k = args.k
     if k < 2:
         raise ValueError(f"the almost-hook grid needs k >= 2, got {k}")
@@ -182,6 +181,9 @@ def cmd_verify(args):
         raise ValueError(
             f"unknown suite {args.suite!r} (available: {', '.join(ver.SUITES)}, all)"
         )
+    if args.n_max is not None and args.n_max < 4:
+        # the p=2 classification sweep starts at n=4, so it would check nothing
+        raise ValueError(f"--n-max must be at least 4, got {args.n_max}")
     results = ver.run(names, n_max=args.n_max, seed=args.seed)
     sys.stdout.flush()
     if not all(r.ok for r in results):

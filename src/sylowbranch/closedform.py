@@ -74,20 +74,20 @@ def almost_hook_sbc(k, x, y):
 def almost_hook_sbc_recursive(k, x, y):
     """Same multiplicity by one level of restriction through the wreath product.
 
-    The top twist digit j of the target label contributes the plethysm
-    coefficient a^la_{(2-j parts), hook(2^{k-1}, z)} with z = floor(y/2), and
-    the two almost hooks one level down continue the recursion when their
-    coordinate stays in range.  Base cases k <= 3 come from the brute oracle
-    so this path stays independent of the closed form.
+    The top twist digit j = hook_to_linear(k, y)[-1] of the target label
+    contributes the plethysm coefficient a^la_{(2-j parts), hook(2^{k-1}, z)}
+    with z = floor(y/2), and the two almost hooks one level down continue
+    the recursion when their coordinate stays in range.  Base cases k <= 3
+    come from the brute oracle so this path stays independent of the closed
+    form.
     """
     _check_grid(k, x, y)
     la = almost_hook(2**k, x)
     if k <= 3:
         return oracle.oracle_linear_multiplicity(la, 2, hook_to_linear(k, y))
     z = y // 2
-    j = y % 2 if z % 2 == 0 else 1 - y % 2
     mu = hook(2 ** (k - 1), z)
-    total = ch.plethysm_split(la, mu)[j]
+    total = ch.plethysm_split(la, mu)[hook_to_linear(k, y)[-1]]
     for l in (0, 1):
         if 0 <= x - z - l <= 2 ** (k - 1) - 4:
             total += almost_hook_sbc_recursive(k - 1, x - z - l, z)
@@ -206,9 +206,9 @@ def odd_prime_classification(p, n, la):
     remaining cases.
 
     For p <= n < 2p the Sylow subgroup is cyclic, generated by a p-cycle g,
-    and <chi|, phi_j> = (chi(1) + (p [j = 0] - 1) chi(g)) / p, so phi_0
-    occurs iff chi(1) + (p - 1) chi(g) > 0 and each other phi_j iff
-    chi(1) > chi(g).
+    and the count is the number of nonzero entries of
+    characters.cyclic_split(p, chi(1), chi(g)), which also checks that
+    every multiplicity is a nonnegative integer.
     """
     check_classification_domain(p, n)
     if p == 2:
@@ -221,7 +221,7 @@ def odd_prime_classification(p, n, la):
     if n < 2 * p:
         deg = ch.sn_degree(la)
         val = ch.character_value(la, (p,) + (1,) * (n - p))
-        count = (deg + (p - 1) * val > 0) + (p - 1) * (deg > val)
+        count = sum(map(bool, ch.cyclic_split(p, deg, val)))
         return Outcome(str(count), "cyclic", None)
     if len(sylow_shape(n, p)) == 1:
         if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):

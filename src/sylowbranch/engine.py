@@ -4,24 +4,28 @@ The computation follows the subgroup chain
 
     S_{p^k}  >  W = S_{p^{k-1}} wr C_p  >  P = P_{p^{k-1}} wr C_p
 
-one tower level at a time.  Stage A decomposes over W: a non-constant
-C_p-orbit of p-tuples (mu_1..mu_p) of partitions of p^{k-1} contributes its
-induced character with multiplicity c^la_{mu_1..mu_p}, and a constant tuple
-mu^p splits over the p twists, the t-th receiving
+one tower level at a time.  Both splits over the p twists below are
+characters.cyclic_split: a character of C_p with degree c and value d on
+a generator contains the trivial character (c + (p-1) d)/p times and each
+other linear character (c - d)/p times.
 
-    (1/p) * [ c^la_{mu..mu} + e_t * D ],   e_t = p-1 if t = 0 else -1,
-
-with D the stretched pairing <s_mu[p_p], s_la>.  (For p = 2 this is the
-classical symmetric/alternating square split; for odd p it is the same
-Frobenius computation carried out over C_p, where only the Galois-invariant
-aggregate e_t enters, so no choice of primitive root is made.  The odd-p
+Stage A decomposes over W: a non-constant C_p-orbit of p-tuples
+(mu_1..mu_p) of partitions of p^{k-1} contributes its induced character
+with multiplicity c^la_{mu_1..mu_p}, and a constant tuple mu^p splits over
+the p twists as cyclic_split(p, c^la_{mu..mu}, D), with D the stretched
+pairing <s_mu[p_p], s_la>.  (For p = 2 this is the classical
+symmetric/alternating square split; for odd p it is the same Frobenius
+computation carried out over C_p, where only the Galois-invariant
+aggregate enters, so no choice of primitive root is made.  The odd-p
 stage is a derived extension validated against the brute-force oracle.)
 
 Stage B restricts each W-constituent to P via the recursively known vectors
 R_mu of the factors: twisted constituents split their constant-label blocks
-through the symmetric-power counts N_s(m) = (m^p + (p-1)m)/p or (m^p - m)/p,
-and induced constituents restrict by Mackey's theorem with a single double
-coset, scattering products of factor multiplicities over orbit labels.  The
+through the symmetric-power counts N_s(m) = cyclic_split(p, m^p, m)[s],
+the C_p-orbits on the m^p tuples of a block's m labels (all of them for
+s = 0, the non-constant ones otherwise), and induced constituents restrict
+by Mackey's theorem with a single double coset, scattering products of
+factor multiplicities over orbit labels.  The
 scatter ranks the factor labels once by label_text, so an orbit label's
 least rotation is taken on int tuples and equals the one tw.orbit picks.
 It is bilinear in the factor vectors: classes sharing their first p - 1
@@ -47,34 +51,16 @@ from math import prod
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import check_partition, sylow_shape
+from .partitions import check_partition, check_prime, sylow_shape
 
 _full_memo = {}
 _lin_memo = {}
 
 
-def _twist_weights(p, c, d):
-    """Stage A multiplicities of the p twists of a constant tuple."""
-    weights = []
-    for t in range(p):
-        e = p - 1 if t == 0 else -1
-        q, r = divmod(c + e * d, p)
-        if r or q < 0:
-            raise ArithmeticError(
-                f"twist weight not a nonneg integer: c={c}, D={d}, p={p}, t={t}"
-            )
-        weights.append(q)
-    return weights
-
-
 @cache
 def _sym_power_counts(p, m):
     """N_s(m) for s = 0..p-1: how an m-fold constant block splits over twists."""
-    n0, r0 = divmod(m**p + (p - 1) * m, p)
-    ns, rs = divmod(m**p - m, p)
-    if r0 or rs or n0 < 0 or ns < 0:
-        raise ArithmeticError(f"bad symmetric-power counts at p={p}, m={m}")
-    return (n0,) + (ns,) * (p - 1)
+    return ch.cyclic_split(p, m**p, m)
 
 
 def _stage_a(la, p, k):
@@ -90,7 +76,7 @@ def _stage_a(la, p, k):
         if len(set(mus)) == 1:
             mu = mus[0]
             d = ch.stretch_coefficient(la, mu, p)
-            consts[mu] = (c, _twist_weights(p, c, d))
+            consts[mu] = (c, ch.cyclic_split(p, c, d))
         else:
             canonical = min(tw.rotations(mus))
             if canonical not in classes:
@@ -130,8 +116,7 @@ def _stage_b(tower, la, p, k, extend):
                     acc[extend(lab, t)] += coeff
     for mu, (c, weights) in consts.items():
         sub = tower(mu, p, k - 1)
-        if c:
-            blocks.append((c, [sub] * p, True))
+        blocks.append((c, [sub] * p, True))
         for lab, m in sub.items():
             counts = _sym_power_counts(p, m)
             for t, w in enumerate(weights):
@@ -315,31 +300,34 @@ def save_cache(path):
 def load_cache(path):
     """Prime the full-vector memo from an existing cache file.
 
-    A missing file raises OSError; a stale version or corrupt entry ValueError.
+    A missing file raises OSError; a stale version, a file that is not a
+    restriction cache or a corrupt entry ValueError, and then the memo is
+    left as it was.
     """
     import json
 
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != CACHE_FORMAT:
+    entries = payload.get("entries") if isinstance(payload, dict) else None
+    if not isinstance(entries, list) or payload.get("format") != CACHE_FORMAT:
         raise ValueError(f"not a restriction cache: {path}")
     if payload.get("version") != CACHE_VERSION:
         raise ValueError(
             f"stale cache version {payload.get('version')!r} (need {CACHE_VERSION})"
         )
-    loaded = 0
-    for entry in payload["entries"]:
-        p, k = int(entry["p"]), int(entry["k"])
-        la = tuple(int(x) for x in entry["lambda"].split(",")) if entry["lambda"] else ()
-        vec = {tw.parse_label(text): int(m) for text, m in entry["vector"]}
+    loaded = {}
+    for i, entry in enumerate(entries):
         try:
-            heights_ok = all(tw.label_height(p, lab) == k for lab in vec)
-        except ValueError:
-            heights_ok = False
-        total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
-        positive = all(m > 0 for m in vec.values())
-        if not heights_ok or not positive or total != ch.sn_degree(la):
-            raise ValueError(f"corrupt cache entry for {la} in {path}")
-        _full_memo[(p, k, la)] = vec
-        loaded += 1
-    return loaded
+            p, k = int(entry["p"]), int(entry["k"])
+            check_prime(p)
+            la = _check_size(entry["lambda"].split(","), p, k)
+            vec = {tw.parse_label(text): int(m) for text, m in entry["vector"]}
+            if any(tw.label_height(p, lab) != k or m <= 0 for lab, m in vec.items()):
+                raise ValueError("a label of another height or a multiplicity below 1")
+            if sum(m * tw.label_degree(p, lab) for lab, m in vec.items()) != ch.sn_degree(la):
+                raise ValueError("dimension conservation fails")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"corrupt cache entry {i} in {path}: {exc}") from exc
+        loaded[(p, k, la)] = vec
+    _full_memo.update(loaded)
+    return len(loaded)

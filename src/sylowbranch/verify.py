@@ -308,8 +308,6 @@ def _structure_cyclic():
 
 
 def _structure_narrow_box():
-    from itertools import product as iproduct
-
     failures = []
     p, k = 3, 2
     n = p**k
@@ -319,7 +317,7 @@ def _structure_narrow_box():
             continue
         got = {
             psi
-            for psi in iproduct(range(p), repeat=k)
+            for psi in tw.linear_labels(p, k)
             if oracle.oracle_linear_multiplicity(la, p, psi) > 0
         }
         if got != set(want):
@@ -405,7 +403,7 @@ ALIASES = {
 CRITERION = {name: i + 1 for i, name in enumerate(SUITES)}
 
 
-def run(names=None, out=print, **kwargs):
+def run(names=None, **kwargs):
     """Run suites by name (all of them by default) and print labeled lines.
 
     Returns the list of Results.  Keyword arguments are forwarded to suites
@@ -422,5 +420,5 @@ def run(names=None, out=print, **kwargs):
         res = fn(**accepted)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        out(f"criterion {CRITERION[name]:02d} {name}: {status} - {res.detail}")
+        print(f"criterion {CRITERION[name]:02d} {name}: {status} - {res.detail}")
     return results

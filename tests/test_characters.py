@@ -7,6 +7,7 @@ import pytest
 from sylowbranch.characters import (
     centralizer_order,
     character_value,
+    cyclic_split,
     lr_coefficient,
     lr_multi,
     plethysm_split,
@@ -198,6 +199,15 @@ def test_stretch_coefficient_odd_prime():
             assert isinstance(stretch_coefficient(la, mu, 3), int)
     assert stretch_coefficient((6,), (2,), 3) == 1
     assert stretch_coefficient((1,) * 6, (1, 1), 3) == 1
+
+
+def test_cyclic_split_rejects_fractional_or_negative_multiplicities():
+    # (2,1,0): halves; (3,1,2): (1-2)/3 and (1+4)/3; (2,1,3): (1-3)/2 = -1
+    for p, c, d in ((2, 1, 0), (3, 1, 2), (2, 1, 3)):
+        with pytest.raises(ArithmeticError):
+            cyclic_split(p, c, d)
+    assert cyclic_split(3, 5, 2) == (3, 1, 1)
+    assert cyclic_split(2, 3, -1) == (1, 2)
 
 
 def test_plethysm_split_known_values():

@@ -137,6 +137,7 @@ def test_exit_code_domain():
         ("classify", "--p", "2", "--n", "0"),
         ("table", "--k", "-1"),
         ("table", "--k", "1"),
+        ("verify", "classify-two", "--n-max", "3"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, (args, r.stderr)
@@ -240,6 +241,31 @@ def test_cache_corrupt_label_rejected(tmp_path):
         assert "corrupt cache entry" in r.stderr
         assert r.stdout == ""
         assert json.loads(cache.read_text()) == doc
+
+
+def test_cache_malformed_document_rejected(tmp_path):
+    cache = tmp_path / "vec.json"
+    good = _corrupt_label_doc("0")
+    entry = good["entries"][0]
+    docs = (
+        [good],
+        {k: v for k, v in good.items() if k != "entries"},
+        dict(good, entries=[{k: v for k, v in entry.items() if k != "lambda"}]),
+        dict(good, entries=[dict(entry, **{"lambda": 2})]),
+        dict(good, entries=[dict(entry, **{"lambda": "1,3"})]),
+        # a non-prime p, and |lambda| != p^k; both keep the degree sum
+        dict(good, entries=[{"p": 4, "k": 1, "lambda": "4", "vector": [["0", 1]]}]),
+        dict(good, entries=[{"p": 2, "k": 1, "lambda": "3", "vector": [["0", 1]]}]),
+    )
+    for doc in docs:
+        cache.write_text(json.dumps(doc))
+        before = cache.read_bytes()
+        r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache))
+        assert r.returncode == 2, (doc, r.stderr)
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (doc, r.stderr)
+        assert "corrupt cache entry" in r.stderr or "not a restriction cache" in r.stderr
+        assert cache.read_bytes() == before
 
 
 def test_lin_and_sbc_leave_the_cache_file_alone(tmp_path):

@@ -14,6 +14,16 @@ from sylowbranch.characters import plethysm_split, sn_degree, split_pairs
 from sylowbranch.partitions import conjugate, hook, partitions, sylow_shape
 
 
+def test_sym_power_counts_are_orbit_counts():
+    # N_0(m) counts all C_p-orbits on range(m)^p, N_s(m) for s != 0 the
+    # non-constant ones
+    for p in (2, 3, 5):
+        for m in range(6):
+            orbits = {min(t[i:] + t[:i] for i in range(p)) for t in product(range(m), repeat=p)}
+            nonconstant = sum(len(set(t)) > 1 for t in orbits)
+            assert engine._sym_power_counts(p, m) == (len(orbits),) + (nonconstant,) * (p - 1)
+
+
 def test_restrict_tower_trivial_levels():
     assert engine.restrict_tower((1,), 2, 0) == {tw.LEAF: 1}
     assert engine.restrict_tower((2,), 2, 1) == {tw.linear_label((0,)): 1}
