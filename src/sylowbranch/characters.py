@@ -30,19 +30,18 @@ from collections import Counter, defaultdict
 from functools import cache
 from math import factorial
 
-from .partitions import check_partition
+from .partitions import check_partition, conjugate
 
 
 @cache
 def sn_degree(la):
     """Dimension of the irreducible character of S_|la| labelled by la."""
-    n = sum(la)
     prod = 1
-    cols = [sum(1 for part in la if part > c) for c in range(la[0])] if la else []
+    cols = conjugate(la)
     for r, part in enumerate(la):
         for c in range(part):
             prod *= part - c + cols[c] - r - 1
-    return factorial(n) // prod
+    return factorial(sum(la)) // prod
 
 
 def centralizer_order(ct):

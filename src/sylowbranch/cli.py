@@ -60,16 +60,12 @@ def _parse_linear(text, p, heights):
         return (tw.hook_to_linear(heights[0], int(text[2:])),)
     factors = []
     for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if chunk == "e" or chunk == "":
-            factors.append(())
-            continue
-        digits = tuple(int(d) for d in chunk.split("."))
-        if any(not 0 <= d < p for d in digits):
-            raise ValueError(f"digits out of range for p={p}: {chunk}")
+        label = tw.parse_label(chunk.strip() or "e")
+        tw.label_height(p, label)  # rejects a digit outside range(p)
+        digits = tw.linear_digits(label)
+        if digits is None:
+            raise ValueError(f"not a linear label: {chunk.strip()}")
         factors.append(digits)
-    if len(factors) == 1 and len(heights) > 1:
-        raise ValueError(f"expected {len(heights)} factors separated by '|'")
     return tuple(factors)
 
 
@@ -81,7 +77,7 @@ def _parse_shape(text):
 
 
 def _linear_text(psi):
-    return "|".join(".".join(str(d) for d in f) if f else "e" for f in psi)
+    return "|".join(tw.label_text(tw.linear_label(f)) for f in psi)
 
 
 def cmd_sbc(args):
@@ -96,12 +92,10 @@ def cmd_lin(args):
     heights = sylow_shape(sum(la), args.p)
     lc = engine.lin_constituents(la, args.p)
     if args.p == 2 and len(heights) == 1:
-        k = heights[0]
-        pairs = sorted((tw.linear_to_hook(k, f[0]), m) for f, m in lc.items())
+        pairs = sorted((tw.linear_to_hook(heights[0], f[0]), m) for f, m in lc.items())
         print(", ".join(f"y={y}:{m}" for y, m in pairs))
     else:
-        pairs = sorted((psi, m) for psi, m in lc.items())
-        print(", ".join(f"{_linear_text(psi)}:{m}" for psi, m in pairs))
+        print(", ".join(f"{_linear_text(psi)}:{m}" for psi, m in sorted(lc.items())))
 
 
 def cmd_restrict(args):

@@ -101,8 +101,7 @@ def almost_hook_plethysm_rule(k, x, mu, i):
     x: for even x, the hooks at x/2 and (x+2)/2 with the parity constraint
     x/2 = i mod 2; for odd x, the single hook at (x+1)/2 for both i.
     """
-    if not 0 <= x <= 2**k - 4:
-        raise ValueError(f"x={x} out of range at k={k}")
+    _check_grid(k, x, 0)
     mu = tuple(mu)
     half = 2 ** (k - 1)
     if x % 2 == 0:
@@ -122,7 +121,7 @@ def _trivial_witness(n, p):
 
 
 def _sign_witness(n):
-    return tuple(hook_to_linear(h, 2**h - 1) if h else () for h in sylow_shape(n, 2))
+    return tuple(hook_to_linear(h, 2**h - 1) for h in sylow_shape(n, 2))
 
 
 # The shapes of 8 other than the almost hook (4,2,1,1) with exactly two
@@ -252,11 +251,8 @@ def almost_hook_linear_set(k, x):
     Coordinates x past the midpoint are handled through conjugation, which
     reflects both x and the witnesses.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
+    _check_grid(k, x, 0)
     n = 2**k
-    if not 0 <= x <= n - 4:
-        raise ValueError(f"x={x} out of range at k={k}")
     half = n // 2
     if x == half - 2:
         return ("exact", (half - 2, half + 1))

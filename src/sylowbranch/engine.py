@@ -44,6 +44,7 @@ strings only, which is what the classification sweeps and large-k spot
 checks run on.
 """
 
+import os
 from collections import defaultdict
 from functools import cache
 from itertools import product
@@ -266,7 +267,7 @@ CACHE_VERSION = 1
 
 
 def save_cache(path):
-    """Persist the full-vector memo as versioned JSON."""
+    """Persist the full-vector memo as versioned JSON; a failed write keeps the old file."""
     import json
 
     entries = []
@@ -292,9 +293,16 @@ def save_cache(path):
         "max_k": max((k for _, k, _ in _full_memo), default=0),
         "entries": entries,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_cache(path):

@@ -9,7 +9,7 @@ two-block family used by the k=4 classification arguments.
 """
 
 from functools import cache
-from math import comb, isqrt
+from math import comb
 
 
 def check_partition(parts):
@@ -187,11 +187,7 @@ def two_block_decompose(la):
 
 def in_exceptional_family(la, k):
     """Membership of la (a partition of 2^k) in the two-block family."""
-    if sum(la) != 2**k:
-        return False
-    if len(la) < 2:
-        return False
-    return two_block_decompose(la) in two_block_pairs(k)
+    return tuple(la) in exceptional_family(k)
 
 
 @cache
@@ -210,9 +206,28 @@ def choose(a, b):
     return comb(a, b) if 0 <= b <= a else 0
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def check_prime(p):
-    """Raise ValueError unless p is a prime."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Raise ValueError unless p is a prime below 2^64.
+
+    Past trial division by the primes up to 37, p must be a strong probable
+    prime to each of them as a base: with p - 1 = d 2^s, d odd, a^d = 1 or
+    a^(d 2^r) = -1 mod p for some r < s.  That test has no false positive
+    below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86 (2017)).
+    """
+    if p >= 2**64:
+        raise ValueError(f"p must be a prime below 2^64, got {p}")
+    if p in _SMALL_PRIMES:
+        return
+    d, s = p - 1, 0
+    while d > 0 and d % 2 == 0:
+        d, s = d // 2, s + 1
+    if p < 2 or any(p % q == 0 for q in _SMALL_PRIMES) or any(
+        pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s))
+        for a in _SMALL_PRIMES
+    ):
         raise ValueError(f"p must be a prime, got {p}")
 
 

@@ -13,7 +13,9 @@ recursively here by
 
 Linear labels are nested twist chains, identified with digit strings
 (d_1, ..., d_k), innermost digit first.  For p = 2 the degree-2^k hooks
-biject onto these digit strings; the bijection and its sign twist live here.
+biject onto these digit strings: the hook (2^k - y, 1^y) goes to the bits of
+the reflected Gray code y ^ (y >> 1), most significant first, and the sign
+twist y -> 2^k - 1 - y flips the innermost digit.
 The module also provides the explicit permutation model of the tower inside
 S_{p^k} used by the full brute-force oracle, with elements carried as nested
 (children, top-cycle) pairs.
@@ -22,6 +24,7 @@ S_{p^k} used by the full brute-force oracle, with elements carried as nested
 import os
 from functools import cache
 from itertools import product
+from math import prod
 
 from .partitions import check_prime
 
@@ -124,10 +127,7 @@ def label_degree(p, label):
     if label == LEAF:
         return 1
     if is_orbit(label):
-        deg = p
-        for sub in label[1:]:
-            deg *= label_degree(p, sub)
-        return deg
+        return p * prod(label_degree(p, sub) for sub in label[1:])
     return label_degree(p, label[0]) ** p
 
 
@@ -156,18 +156,15 @@ def label_height(p, label):
 def irr_labels(p, k):
     """All irreducible-character labels of the height-k tower, sorted.
 
-    Count satisfies |Irr(k)| = (m^p - m)/p + p*m with m = |Irr(k-1)|.
+    Count satisfies |Irr(k)| = (m^p - m)/p + p*m with m = |Irr(k-1)|.  The
+    induced labels are the Lyndon words over the level below ranked by
+    label_text, that is the least rotations orbit picks.
     """
     if k == 0:
         return (LEAF,)
-    below = irr_labels(p, k - 1)
-    labels = set()
-    for inner in below:
-        for t in range(p):
-            labels.add(twist(inner, t))
-    for combo in product(below, repeat=p):
-        if len(set(combo)) > 1:
-            labels.add(orbit(combo))
+    below = sorted(irr_labels(p, k - 1), key=label_text)
+    labels = [twist(inner, t) for inner in below for t in range(p)]
+    labels += [("orb",) + tuple(below[i] for i in word) for word in lyndon_words(len(below), p)]
     return tuple(sorted(labels, key=lambda lab: (label_degree(p, lab), label_text(lab))))
 
 
@@ -183,9 +180,7 @@ def label_text(label):
     if is_orbit(label):
         return "[" + ",".join(label_text(sub) for sub in label[1:]) + "]"
     inner, t = label
-    if inner == LEAF:
-        return str(t)
-    return label_text(inner) + "." + str(t)
+    return str(t) if inner == LEAF else label_text(inner) + "." + str(t)
 
 
 @cache
@@ -193,6 +188,15 @@ def parse_label(text):
     """Inverse of label_text."""
     text = text.strip()
     pos = 0
+
+    def digit():
+        nonlocal pos
+        start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            raise ValueError(f"bad label text {text!r} at position {pos}")
+        return int(text[start:pos])
 
     def atom():
         nonlocal pos
@@ -209,24 +213,14 @@ def parse_label(text):
                 raise ValueError(f"unclosed orbit bracket in {text!r}")
             pos += 1
             return orbit(subs)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ValueError(f"bad label text {text!r} at position {pos}")
-        return twist(LEAF, int(text[start:pos]))
+        return twist(LEAF, digit())
 
     def chain():
         nonlocal pos
         label = atom()
         while pos < len(text) and text[pos] == ".":
             pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            if pos == start:
-                raise ValueError(f"dangling dot in label text {text!r}")
-            label = twist(label, int(text[start:pos]))
+            label = twist(label, digit())
         return label
 
     label = chain()
@@ -236,40 +230,34 @@ def parse_label(text):
 
 
 def hook_to_linear(k, y):
-    """Digit string of the unique linear constituent of the hook (2^k-y, 1^y).
-
-    Recursively, the outermost digit j satisfies y = 2i + j when i is even
-    and y = 2i + 1 - j when i is odd, where i indexes the hook one level
-    down; the base case is the digit (y) at k = 1.
-    """
+    """Digit string of the linear constituent of the hook (2^k-y, 1^y): Gray code bits."""
     if not 0 <= y <= 2**k - 1:
         raise ValueError(f"hook coordinate y={y} out of range at k={k}")
-    if k <= 1:
-        return (y,) if k else ()
-    i = y // 2
-    j = y % 2 if i % 2 == 0 else 1 - y % 2
-    return hook_to_linear(k - 1, i) + (j,)
+    return tuple(((y ^ (y >> 1)) >> i) & 1 for i in reversed(range(k)))
+
+
+def _binary_digits(k, digits):
+    digits = tuple(digits)
+    if len(digits) != k or any(d not in (0, 1) for d in digits):
+        raise ValueError(f"need {k} binary digits, got {digits}")
+    return digits
 
 
 def linear_to_hook(k, digits):
     """Inverse of hook_to_linear."""
-    digits = tuple(digits)
-    if len(digits) != k or any(d not in (0, 1) for d in digits):
-        raise ValueError(f"need {k} binary digits, got {digits}")
-    if k <= 1:
-        return digits[0] if k else 0
-    i = linear_to_hook(k - 1, digits[:-1])
-    j = digits[-1]
-    return 2 * i + j if i % 2 == 0 else 2 * i + 1 - j
+    y = 0
+    for d in _binary_digits(k, digits):
+        y = 2 * y + (d ^ (y & 1))
+    return y
 
 
 def sgn_twist(k, digits):
     """Multiply a linear label of the 2^k tower by the sign restriction.
 
-    In hook coordinates this is y -> 2^k - 1 - y; a fixed-point-free
-    involution on digit strings.
+    That is y -> 2^k - 1 - y on hooks; it flips the innermost digit.
     """
-    return hook_to_linear(k, 2**k - 1 - linear_to_hook(k, digits))
+    digits = _binary_digits(k, digits)
+    return (1 - digits[0],) + digits[1:] if k else ()
 
 
 def sylow_order(n, p):

@@ -361,7 +361,7 @@ def conservation():
                 lc = engine.lin_constituents(la, p)
                 if p == 2:
                     twisted = {
-                        tuple(tw.sgn_twist(h, d) if h else d for d, h in zip(f, heights)): m
+                        tuple(tw.sgn_twist(h, d) for d, h in zip(f, heights)): m
                         for f, m in lc.items()
                     }
                 else:

@@ -1,8 +1,10 @@
+import errno
 import json
 import os
 import subprocess
 import sys
 
+from sylowbranch import engine
 from sylowbranch import tower as tw
 from sylowbranch.cli import main
 
@@ -321,3 +323,67 @@ def test_cache_stale_version_rejected(tmp_path):
     r = run_cli("restrict", "--p", "2", "--lambda", "2,2", "--cache", str(cache))
     assert r.returncode == 2
     assert "stale" in r.stderr
+
+
+def test_dotted_linear_labels(capsys):
+    # factors join with "|" in ascending height; "e" (or nothing) is the
+    # trivial factor, and p = 11 prints its two-digit digits whole
+    for args, out in (
+        (("sbc", "--p", "2", "--lambda", "3,2", "--linear", "e|0.1"), "1\n"),
+        (("sbc", "--p", "2", "--lambda", "3,2", "--linear", "|1.0"), "1\n"),
+        (("sbc", "--p", "2", "--lambda", "3,2", "--linear", "e|1.1"), "0\n"),
+        (("sbc", "--p", "3", "--lambda", "6,4,2", "--linear", "0|0.2"), "11\n"),
+        (("sbc", "--p", "11", "--lambda", "10,1", "--linear", "10"), "1\n"),
+        (("lin", "--p", "2", "--lambda", "3,2"), "e|0.0:1, e|0.1:1, e|1.0:1\n"),
+        (("lin", "--p", "3", "--lambda", "2,2"), "e|1:1, e|2:1\n"),
+        (("lin", "--p", "11", "--lambda", "10,1"), ", ".join(f"{d}:1" for d in range(1, 11)) + "\n"),
+        (("lin", "--p", "11", "--lambda", "9,2,1"), "e|0:30, " + ", ".join(f"e|{d}:29" for d in range(1, 11)) + "\n"),
+    ):
+        assert main(list(args)) == 0, args
+        assert capsys.readouterr().out == out, args
+
+
+def test_dotted_linear_label_errors(capsys):
+    # a digit >= p, orbit text and a wrong number of factors
+    for p, la, text in (
+        ("3", "3", "3"),
+        ("2", "2", "2"),
+        ("2", "2,2", "[0,1]"),
+        ("2", "3,2", "e|[0,1]"),
+        ("2", "3,2", "0.1"),
+        ("2", "3,2", "e|0.1|0"),
+        ("2", "3,2", "e|0.1.1"),
+    ):
+        assert main(["sbc", "--p", p, "--lambda", la, "--linear", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, text
+
+
+def test_lin_at_a_large_prime():
+    # p = 2^61 - 1 is beyond trial division; n = 2 < p gives two trivial factors
+    r = subprocess.run(
+        [sys.executable, "-m", "sylowbranch.cli", "lin", "--p", str(2**61 - 1), "--lambda", "2"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "e|e:1\n"
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
+    cache = tmp_path / "vec.json"
+    cache.write_text(json.dumps(_corrupt_label_doc("0")))
+    before = cache.read_bytes()
+
+    def partial_dump(obj, fh, **kwargs):
+        fh.write('{"format": "sylowbranch-restr')
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    # an empty memo, so that the new shape grows it and the file is written
+    monkeypatch.setattr(engine, "_full_memo", {})
+    monkeypatch.setattr(json, "dump", partial_dump)
+    assert main(["restrict", "--p", "2", "--lambda", "3,1", "--cache", str(cache)]) == 2
+    assert cache.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["vec.json"]

@@ -171,7 +171,7 @@ def test_meeting_set_lower_bound_at_sixteen():
 def _sgn_twisted(lc, heights):
     """Linear constituents at p = 2 times the sign, by the per-factor sign twist."""
     return {
-        tuple(tw.sgn_twist(h, d) if h else d for d, h in zip(f, heights)): m
+        tuple(tw.sgn_twist(h, d) for d, h in zip(f, heights)): m
         for f, m in lc.items()
     }
 
@@ -282,3 +282,11 @@ def test_restrict_tower_matches_naive_orbit_scatter():
             for la in partitions(p**k):
                 assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
 
+
+
+def test_hooks_restrict_to_their_own_linear_label_beyond_hook_diagonal():
+    # the hook-diagonal suite stops at k = 4
+    for k in (5, 6):
+        n = 2**k
+        for y in range(n):
+            assert engine.lin_constituents(hook(n, y), 2) == {(tw.hook_to_linear(k, y),): 1}, (k, y)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from sylowbranch.partitions import (
@@ -164,14 +166,37 @@ def test_exceptional_family_closed_under_stated_conjugates():
     assert conjugate((13, 3)) == (2, 2, 2) + (1,) * 10
 
 
-def test_check_prime():
-    for p in (2, 3, 5, 7, 31):
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _accepts(p):
+    try:
         check_prime(p)
-    for p in (-3, 0, 1, 4, 9, 25):
-        with pytest.raises(ValueError, match="prime"):
+    except ValueError as exc:
+        assert "prime" in str(exc)
+        return False
+    return True
+
+
+def test_check_prime():
+    for p in (2, 3, 5, 7, 31, 2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert _accepts(p), p
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 31
+    for p in (-3, 0, 1, 4, 9, 25, 3215031751, 3825123056546413051, 2**61 + 1, 2**64 - 1):
+        assert not _accepts(p), p
+    # the test is exact below 2^64 only, so larger p is rejected outright
+    for p in (2**64, 2**89 - 1):
+        with pytest.raises(ValueError, match="prime below 2\\^64"):
             check_prime(p)
     with pytest.raises(ValueError, match="prime"):
         sylow_shape(9, 9)
+
+
+def test_check_prime_agrees_with_trial_division():
+    for p in range(-2, 20_000):
+        assert _accepts(p) == _is_prime_by_trial_division(p), p
 
 
 def test_sylow_shape():

@@ -78,6 +78,17 @@ def test_lyndon_words_are_least_rotations_of_nonconstant_necklaces():
             assert len(words) == (m**p - m) // p
 
 
+def test_irr_labels_match_brute_force_orbits():
+    # the twists plus orbit() of every non-constant p-tuple, deduplicated
+    for p, kmax in ((2, 4), (3, 2), (5, 1)):
+        for k in range(1, kmax + 1):
+            below = tw.irr_labels(p, k - 1)
+            labels = {tw.twist(inner, t) for inner in below for t in range(p)}
+            labels |= {tw.orbit(combo) for combo in product(below, repeat=p) if len(set(combo)) > 1}
+            want = sorted(labels, key=lambda lab: (tw.label_degree(p, lab), tw.label_text(lab)))
+            assert tw.irr_labels(p, k) == tuple(want), (p, k)
+
+
 def test_label_height():
     for p, k in ((2, 3), (3, 2)):
         assert {tw.label_height(p, lab) for lab in tw.irr_labels(p, k)} == {k}
@@ -133,6 +144,25 @@ def test_hook_bijection_small_values():
     assert tw.hook_to_linear(2, 3) == (1, 0)
     assert tw.hook_to_linear(3, 2) == (0, 1, 1)
     assert tw.hook_to_linear(3, 5) == (1, 1, 1)
+
+
+def test_hook_labels_are_the_gray_code():
+    # digits are the bits of y ^ (y >> 1), most significant first, and the
+    # sign twist flips the innermost digit
+    for k in range(1, 9):
+        for y in range(2**k):
+            gray = format(y ^ (y >> 1), f"0{k}b")
+            d = tw.hook_to_linear(k, y)
+            assert d == tuple(int(c) for c in gray)
+            assert tw.sgn_twist(k, d) == (1 - d[0],) + d[1:]
+    assert tw.hook_to_linear(0, 0) == tw.sgn_twist(0, ()) == ()
+    for k, y in ((3, 8), (3, -1), (0, 1)):
+        with pytest.raises(ValueError):
+            tw.hook_to_linear(k, y)
+    for k, digits in ((2, (0,)), (2, (0, 2)), (0, (0,)), (1, ())):
+        for fn in (tw.linear_to_hook, tw.sgn_twist):
+            with pytest.raises(ValueError):
+                fn(k, digits)
 
 
 def test_sign_twist_involution_and_fixed_point_free():
