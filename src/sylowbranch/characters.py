@@ -3,15 +3,15 @@
 Littlewood-Richardson coefficients come from counting lattice skew fillings,
 character values from recursive border-strip removal on beta-sets, the
 stretched pairing <s_mu[p_p], s_la> from Littlewood's p-core / p-quotient
-rule (border strips of length p give the sign, the beta-set the quotient,
-and a multi-LR coefficient the value), and the two plethysm coefficients
+rule (one p-abacus of la gives the core, the sign and the quotient, and a
+multi-LR coefficient the value), and the two plethysm coefficients
 a^la_{(2),mu} / a^la_{(1,1),mu} from the identity
 
     s_mu * s_mu = (s_(2) o s_mu) + (s_(1,1) o s_mu)
 
 combined with the stretched pairing at p = 2.  So the engine's Stage A
-reduces to fillings and border strips; character values serve the
-classification and the oracles.
+reduces to fillings and abaci; character values serve the classification
+and the oracles.
 
 cyclic_split is the one place a character of C_p is split over the p
 linear characters: the plethysm split, the engine's twist weights and
@@ -19,11 +19,12 @@ symmetric-power counts, and the cyclic case of the odd-prime
 classification all call it.
 
 split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
-that enumerates fillings; lr_coefficient reads one of its entries.
-young_decompose folds it over any number of blocks, peeling the last block
-first and merging partial results by remaining shape; lr_multi reads one
-entry of the fold.  split_pairs is memoized, so callers must treat its
-dicts as read-only.
+that enumerates fillings, one recursion level per cell over flat index
+arrays; lr_coefficient reads one of its entries.  young_decompose folds it
+over any number of blocks, peeling the last block first and merging
+partial results by remaining shape; lr_multi reads one entry of the fold,
+keeping only the wanted constituent of each block.  split_pairs is
+memoized, so callers must treat its dicts as read-only.
 """
 
 from collections import Counter, defaultdict
@@ -101,42 +102,36 @@ def _lattice_fillings(la, mu):
     columns, and their reverse row word (rows top to bottom, each read right
     to left) stays a ballot sequence, which is exactly the lattice condition
     enforced incrementally below.  mu must lie inside la.
+
+    The walk recurses once per cell over flat arrays: a cell's value runs
+    from vals[above[pos]] + 1 to vals[right[pos]], where vals[n] = 0 stands
+    for no cell above and vals[n + 1 + r] = r + 1 caps row r; the sentinel
+    counts[0] lets every 1 pass the ballot test.
     """
     rows = len(la)
-    cells = []
-    for r in range(rows):
-        inner = mu[r] if r < len(mu) else 0
-        for c in range(la[r] - 1, inner - 1, -1):
-            cells.append((r, c, inner))
-    if not cells:
-        return {(): 1}
-
-    counts = [0] * (rows + 1)
-    grid = {}
+    cells = [
+        (r, c)
+        for r in range(rows)
+        for c in range(la[r] - 1, (mu[r] if r < len(mu) else 0) - 1, -1)
+    ]
+    n = len(cells)
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    above = [index.get((r - 1, c), n) for r, c in cells]
+    right = [index.get((r, c + 1), n + 1 + r) for r, c in cells]
+    vals = [0] * (n + 1) + list(range(1, rows + 1))
+    counts = [n + 1] + [0] * (rows + 1)
     buckets = defaultdict(int)
 
     def fill(pos):
-        if pos == len(cells):
-            content = tuple(counts[1:])
-            while content and content[-1] == 0:
-                content = content[:-1]
-            buckets[content] += 1
+        if pos == n:
+            buckets[tuple(counts[1 : counts.index(0)])] += 1
             return
-        r, c, inner = cells[pos]
-        lo = 1
-        if r > 0 and c >= (mu[r - 1] if r - 1 < len(mu) else 0):
-            lo = grid[r - 1, c] + 1
-        hi = r + 1
-        if c + 1 < la[r]:
-            hi = min(hi, grid[r, c + 1])
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            grid[r, c] = v
-            fill(pos + 1)
-            counts[v] -= 1
-        grid.pop((r, c), None)
+        for v in range(vals[above[pos]] + 1, vals[right[pos]] + 1):
+            if counts[v] < counts[v - 1]:
+                counts[v] += 1
+                vals[pos] = v
+                fill(pos + 1)
+                counts[v] -= 1
 
     fill(0)
     return dict(buckets)
@@ -215,18 +210,53 @@ def young_decompose(la, sizes, factor=None):
             # the first block takes what is left whole
             pairs = split_pairs(rest, sizes[i]) if i else {(rest, ()): 1}
             for (mu, nu), c in pairs.items():
+                vec = {mu: 1} if factor is None else factor(mu, i)
+                if not vec:
+                    continue
                 out = merged[nu]
-                for x, m in ({mu: 1} if factor is None else factor(mu, i)).items():
+                for x, m in vec.items():
                     for tail, t in tails.items():
                         out[(x,) + tail] += c * m * t
         states = merged
-    return dict(states[()])
+    return dict(states.get((), {}))
 
 
 def lr_multi(la, factors):
-    """Multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted."""
+    """Multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted.
+
+    The fold's factor keeps only the wanted constituent of each block, so
+    its states never hold more than the one wanted tail.
+    """
     factors = tuple(tuple(mu) for mu in factors)
-    return young_decompose(la, map(sum, factors)).get(factors, 0)
+    return young_decompose(
+        la, map(sum, factors), lambda mu, i: {mu: 1} if mu == factors[i] else {}
+    ).get(factors, 0)
+
+
+@cache
+def _p_quotient(la, p):
+    """(sign, p-quotient) of la read off one p-abacus; sign 0 if the p-core is not empty.
+
+    The beta-set is padded to a multiple of p.  The p-core is empty iff
+    every runner holds the same number of beads.  Then sliding the beads up
+    their runners, lowest first, strips la by p-rim hooks, and the sign is
+    (-1)^(beads jumped) (James-Kerber 2.7): the bead beta[i] lands at
+    tops[i] and jumps each lower bead, settled before it, that landed above.
+    The quotient keeps the nonempty runner partitions in runner order.
+    """
+    r = -(-len(la) // p) * p
+    beta = [(la[i] if i < len(la) else 0) + r - 1 - i for i in range(r)]
+    runners = [[b // p for b in beta if b % p == j] for j in range(p)]
+    if any(len(xs) != r // p for xs in runners):
+        return 0, ()
+    tops = [b % p + p * sum(1 for c in beta if c < b and c % p == b % p) for b in beta]
+    jumped = sum(1 for i, t in enumerate(tops) for u in tops[i + 1 :] if u > t)
+    quotient = []
+    for xs in runners:
+        part = tuple(x - (len(xs) - 1 - i) for i, x in enumerate(xs))
+        if part and part[0]:
+            quotient.append(tuple(x for x in part if x))
+    return -1 if jumped % 2 else 1, tuple(quotient)
 
 
 def stretch_coefficient(la, mu, p):
@@ -235,28 +265,15 @@ def stretch_coefficient(la, mu, p):
     Littlewood's rule: 0 unless la has an empty p-core, and then
     sigma_p(la) * c^mu_{la^(0), ..., la^(p-1)}, where sigma_p(la) is the sign
     of stripping la down to its core by p-rim hooks and la^(0..p-1) is its
-    p-quotient, read off a beta-set whose length is a multiple of p.  The
-    multi-LR coefficient is symmetric in its factors, so neither the order
-    of the quotient nor the choice of strips matters.
+    p-quotient, both read off one abacus by _p_quotient.  The multi-LR
+    coefficient is symmetric in its factors, so the order of the quotient
+    does not matter.
     """
     la, mu = tuple(la), tuple(mu)
     if sum(la) != p * sum(mu):
         raise ValueError("need |la| = p * |mu|")
-    core, sign = la, 1
-    while strips := _strip_removals(core, p):
-        core, s = strips[0]
-        sign *= s
-    if core:
-        return 0
-    r = -(-len(la) // p) * p
-    beta = [(la[i] if i < len(la) else 0) + r - 1 - i for i in range(r)]
-    quotient = []
-    for j in range(p):
-        xs = [b // p for b in beta if b % p == j]
-        part = tuple(x - (len(xs) - 1 - i) for i, x in enumerate(xs))
-        if part and part[0]:
-            quotient.append(tuple(x for x in part if x))
-    return sign * lr_multi(mu, quotient)
+    sign, quotient = _p_quotient(la, p)
+    return sign * lr_multi(mu, quotient) if sign else 0
 
 
 def cyclic_split(p, c, d):

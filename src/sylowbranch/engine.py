@@ -10,8 +10,9 @@ a generator contains the trivial character (c + (p-1) d)/p times and each
 other linear character (c - d)/p times.
 
 Stage A decomposes over W: a non-constant C_p-orbit of p-tuples
-(mu_1..mu_p) of partitions of p^{k-1} contributes its induced character
-with multiplicity c^la_{mu_1..mu_p}, and a constant tuple mu^p splits over
+(mu_1..mu_p) of partitions of p^{k-1}, kept as its least rotation,
+contributes its induced character with multiplicity c^la_{mu_1..mu_p}
+(the Young fold holds every rotation), and a constant tuple mu^p splits over
 the p twists as cyclic_split(p, c^la_{mu..mu}, D), with D the stretched
 pairing <s_mu[p_p], s_la>.  (For p = 2 this is the classical
 symmetric/alternating square split; for odd p it is the same Frobenius
@@ -69,6 +70,7 @@ def _stage_a(la, p, k):
 
     Returns (classes, consts) where classes maps a canonical p-tuple of
     partitions to its multiplicity and consts maps mu to (c, twist weights).
+    Each class is its least rotation; rotations are built only if mus[0] is least.
     """
     m = p ** (k - 1)
     classes = {}
@@ -78,10 +80,8 @@ def _stage_a(la, p, k):
             mu = mus[0]
             d = ch.stretch_coefficient(la, mu, p)
             consts[mu] = (c, ch.cyclic_split(p, c, d))
-        else:
-            canonical = min(tw.rotations(mus))
-            if canonical not in classes:
-                classes[canonical] = c
+        elif mus[0] == min(mus) and mus == min(tw.rotations(mus)):
+            classes[mus] = c
     return classes, consts
 
 
@@ -174,9 +174,11 @@ def restrict_tower(la, p, k):
 
     Returns a read-only dict label -> multiplicity, memoized on (p, k, la).
     """
-    la = _check_size(la, p, k)
-    key = (p, k, la)
-    hit = _full_memo.get(key)
+    # a hit is on a key that was checked when it was stored
+    hit = _full_memo.get((p, k, la)) if isinstance(la, tuple) else None
+    if hit is None:
+        la = _check_size(la, p, k)
+        hit = _full_memo.get((p, k, la))
     if hit is not None:
         return hit
     if k == 0:
@@ -190,7 +192,7 @@ def restrict_tower(la, p, k):
             f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
             f"{total} != {ch.sn_degree(la)}"
         )
-    _full_memo[key] = vec
+    _full_memo[p, k, la] = vec
     return vec
 
 
@@ -206,16 +208,17 @@ def linear_tower(la, p, k):
     a constant tuple (twists) or a constant block of a twisted constituent,
     so the slice is the twisted part of Stage B alone.
     """
-    la = _check_size(la, p, k)
-    key = (p, k, la)
-    hit = _lin_memo.get(key)
+    hit = _lin_memo.get((p, k, la)) if isinstance(la, tuple) else None
+    if hit is None:
+        la = _check_size(la, p, k)
+        hit = _lin_memo.get((p, k, la))
     if hit is not None:
         return hit
     if k == 0:
         vec = {(): 1}
     else:
         vec = dict(_stage_b(linear_tower, la, p, k, _append_digit)[0])
-    _lin_memo[key] = vec
+    _lin_memo[p, k, la] = vec
     return vec
 
 
@@ -264,6 +267,9 @@ def count_lin(la, p):
 
 CACHE_FORMAT = "sylowbranch-restriction-cache"
 CACHE_VERSION = 1
+# the largest p^k a cache entry may have: the filling walk recurses once per
+# cell, so restrict_tower stops with RecursionError near |la| = 1000
+CACHE_MAX_SIZE = 2**12
 
 
 def save_cache(path):
@@ -328,6 +334,8 @@ def load_cache(path):
         try:
             p, k = int(entry["p"]), int(entry["k"])
             check_prime(p)
+            if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
+                raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
             la = _check_size(entry["lambda"].split(","), p, k)
             vec = {tw.parse_label(text): int(m) for text, m in entry["vector"]}
             if any(tw.label_height(p, lab) != k or m <= 0 for lab, m in vec.items()):

@@ -1,10 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from sylowbranch.characters import (
+    _p_quotient,
+    _strip_removals,
     centralizer_order,
     character_value,
     cyclic_split,
@@ -161,6 +164,64 @@ def test_split_pairs_orientation():
                         if c:
                             want[mu, nu] = c
                 assert split_pairs(la, m) == want, (la, m)
+
+
+def test_split_pairs_symmetries_to_twelve():
+    # every table of n <= 12: swap and conjugation symmetry and the degree identity
+    for n in range(13):
+        for la in partitions(n):
+            for m in range(n + 1):
+                pairs = split_pairs(la, m)
+                swapped = split_pairs(la, n - m)
+                assert pairs == {(mu, nu): c for (nu, mu), c in swapped.items()}, (la, m)
+                conj = {(conjugate(mu), conjugate(nu)): c for (mu, nu), c in pairs.items()}
+                assert split_pairs(conjugate(la), m) == conj, (la, m)
+                total = sum(c * sn_degree(mu) * sn_degree(nu) for (mu, nu), c in pairs.items())
+                assert total == sn_degree(la), (la, m)
+
+
+@cache
+def _strip_chains(la, p):
+    """(sign, chains) of la by repeated _strip_removals, sign 0 for a nonempty p-core.
+
+    chains counts the ways to strip la to its core by p-rim hooks; every
+    way must give the same sign.
+    """
+    strips = _strip_removals(la, p)
+    if not strips:
+        return (0 if la else 1), 1
+    signs, chains = set(), 0
+    for mu, s in strips:
+        sign, count = _strip_chains(mu, p)
+        signs.add(s * sign)
+        chains += count
+    assert len(signs) == 1, (la, p)
+    return signs.pop(), chains
+
+
+def _hook_lengths(la):
+    cols = conjugate(la)
+    return [la[r] - c + cols[c] - r - 1 for r in range(len(la)) for c in range(la[r])]
+
+
+def test_abacus_sign_and_quotient_match_repeated_strips():
+    for p, m_max in ((2, 9), (3, 6), (5, 4), (7, 3)):
+        for m in range(m_max + 1):
+            for la in partitions(p * m):
+                sign, quotient = _p_quotient(la, p)
+                want, chains = _strip_chains(la, p)
+                assert sign == want, (p, la)
+                if not sign:
+                    continue
+                # the p-divisible hooks of la are p times the hooks of its quotient
+                assert sum(map(sum, quotient)) == m, (p, la)
+                hooks = sorted(h // p for h in _hook_lengths(la) if h % p == 0)
+                assert hooks == sorted(h for q in quotient for h in _hook_lengths(q)), (p, la)
+                # a chain of strips is a standard filling of the quotient's boxes
+                want_chains = math.factorial(m)
+                for q in quotient:
+                    want_chains = want_chains // math.factorial(sum(q)) * sn_degree(q)
+                assert chains == want_chains, (p, la)
 
 
 def _stretch_character_sum(la, mu, p):

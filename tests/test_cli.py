@@ -9,13 +9,13 @@ from sylowbranch import tower as tw
 from sylowbranch.cli import main
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "sylowbranch.cli", *args],
         capture_output=True,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -268,6 +268,29 @@ def test_cache_malformed_document_rejected(tmp_path):
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (doc, r.stderr)
         assert "corrupt cache entry" in r.stderr or "not a restriction cache" in r.stderr
         assert cache.read_bytes() == before
+
+
+def test_cache_entry_above_the_size_bound_rejected(tmp_path):
+    # p^k is bounded before the size check or the degree of lambda is computed
+    cache = tmp_path / "vec.json"
+    good = _corrupt_label_doc("0")
+    huge = 2**61 - 1
+    for entry in (
+        {"p": 2, "k": 10**12, "lambda": "2", "vector": [["0", 1]]},
+        {"p": huge, "k": 1, "lambda": str(huge), "vector": [["0", 1]]},
+        {"p": 2, "k": 13, "lambda": str(2**13), "vector": [["0", 1]]},
+    ):
+        cache.write_text(json.dumps(dict(good, entries=[entry])))
+        before = cache.read_bytes()
+        r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache), timeout=20)
+        assert r.returncode == 2, (entry, r.stderr)
+        assert r.stdout == ""
+        assert "corrupt cache entry" in r.stderr and str(engine.CACHE_MAX_SIZE) in r.stderr
+        assert cache.read_bytes() == before
+    # the largest vector restrict builds before its filling walk runs out of depth
+    cache.unlink()
+    runs = [run_cli("restrict", "--p", "2", "--lambda", "1024", "--cache", str(cache)) for _ in "ab"]
+    assert [r.returncode for r in runs] == [0, 0] and runs[0].stdout == runs[1].stdout
 
 
 def test_lin_and_sbc_leave_the_cache_file_alone(tmp_path):

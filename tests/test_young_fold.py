@@ -7,7 +7,7 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowbranch.characters import sn_degree, young_decompose
+from sylowbranch.characters import lr_multi, sn_degree, young_decompose
 from sylowbranch.partitions import partitions
 
 # derandomized and without an example database, so every run draws the same cases
@@ -60,3 +60,15 @@ def test_fold_with_factor_matches_explicit_product(case):
         for combo in product(*vectors):
             explicit[tuple(x for x, _ in combo)] += c * prod(m for _, m in combo)
     assert young_decompose(la, sizes, _factor) == dict(explicit)
+
+
+@DETERMINISTIC
+@given(shape_and_sizes(), st.data())
+def test_lr_multi_reads_one_entry_of_the_fold(case, data):
+    la, sizes = case
+    dec = young_decompose(la, sizes)
+    wanted = [tuple(data.draw(st.sampled_from(partitions(size))) for size in sizes)]
+    if dec:
+        wanted.append(data.draw(st.sampled_from(sorted(dec))))
+    for factors in wanted:
+        assert lr_multi(la, factors) == dec.get(factors, 0), factors
