@@ -311,6 +311,13 @@ def save_cache(path):
         raise
 
 
+def _json_int(value):
+    """A JSON integer field as it stands: a float, a bool or a string is corrupt."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def load_cache(path):
     """Prime the full-vector memo from an existing cache file.
 
@@ -332,12 +339,17 @@ def load_cache(path):
     loaded = {}
     for i, entry in enumerate(entries):
         try:
-            p, k = int(entry["p"]), int(entry["k"])
+            p, k = _json_int(entry["p"]), _json_int(entry["k"])
             check_prime(p)
             if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
                 raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
             la = _check_size(entry["lambda"].split(","), p, k)
-            vec = {tw.parse_label(text): int(m) for text, m in entry["vector"]}
+            if (p, k, la) in loaded:
+                raise ValueError(f"a second entry for p={p}, k={k}, {la}")
+            pairs = [(tw.parse_label(text), _json_int(m)) for text, m in entry["vector"]]
+            vec = dict(pairs)
+            if len(vec) != len(pairs):
+                raise ValueError("a label given twice")
             if any(tw.label_height(p, lab) != k or m <= 0 for lab, m in vec.items()):
                 raise ValueError("a label of another height or a multiplicity below 1")
             if sum(m * tw.label_degree(p, lab) for lab, m in vec.items()) != ch.sn_degree(la):

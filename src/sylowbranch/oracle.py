@@ -11,8 +11,9 @@ Two routes:
 
   * a monomial-expansion plethysm oracle for s_(2) o s_mu and s_(1,1) o s_mu
     with |mu| <= 4: expand s_mu as a sum of monomials over semistandard
-    tableaux, square / substitute x -> x^2, and read off Schur coefficients
-    by triangular elimination against Kostka numbers.
+    tableaux, read the coefficients of s_mu^2 and s_mu(x^2) at partition
+    exponents only (they fix a symmetric polynomial), and read off Schur
+    coefficients by triangular elimination against Kostka numbers.
 
 Everything here deliberately avoids the engine and the lattice-filling code
 paths in characters (only character values are shared, and those are pinned
@@ -64,8 +65,8 @@ def _zeta_int(vec):
     return vec[0] - vec[1]
 
 
-def _zeta_one(p, scale=1):
-    return (scale,) + (0,) * (p - 1)
+def _zeta_one(p):
+    return (1,) + (0,) * (p - 1)
 
 
 # --------------------------------------------------- inner products over P_n
@@ -201,14 +202,12 @@ def oracle_full_restriction(la, p, budget=None):
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]
     order = tw.check_budget(n, p, budget)
-    data = _tower_element_data(p, k)
+    chis = [(el, character_value(la, ct)) for el, ct in _tower_element_data(p, k)]
+    support = [(el, chi) for el, chi in chis if chi]
     vec = {}
     for label in tw.irr_labels(p, k):
         acc = [0] * p
-        for el, ct in data:
-            chi = character_value(la, ct)
-            if not chi:
-                continue
+        for el, chi in support:
             val = _zeta_conj(p, _label_value(p, label, el))
             for i, c in enumerate(val):
                 if c:
@@ -270,75 +269,53 @@ def _kostka(shape, content):
     return _ssyt_monomials(shape, len(content), content).get(content, 0)
 
 
-def _poly_square(poly):
-    out = defaultdict(int)
-    items = list(poly.items())
-    for i, (ea, ca) in enumerate(items):
-        for eb, cb in items:
-            out[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
-    return out
-
-
-def _schur_expand(poly, total, nvars):
+def _schur_expand(coeffs, total):
     """Schur coefficients of a symmetric polynomial by Kostka elimination.
 
-    Only monomials whose exponent is already a partition matter; processing
-    partitions in descending lex order makes the Kostka system triangular.
+    coeffs maps partitions of total to the polynomial's coefficients at
+    those exponents, which fix a symmetric polynomial; processing partitions
+    in descending lex order makes the Kostka system triangular.
     """
-    coeffs = {}
-    residue = {
-        exp: c
-        for exp, c in poly.items()
-        if all(exp[i] >= exp[i + 1] for i in range(len(exp) - 1))
-    }
-
-    def strip(exp):
-        while exp and exp[-1] == 0:
-            exp = exp[:-1]
-        return exp
-
-    residue = {strip(exp): c for exp, c in residue.items()}
+    out = {}
+    residue = dict(coeffs)
     for alpha in partitions(total):
-        if len(alpha) > nvars:
-            continue
         c = residue.get(alpha, 0)
         if not c:
             continue
-        coeffs[alpha] = c
+        out[alpha] = c
         for beta in partitions(total):
-            if len(beta) > nvars:
-                continue
             kn = _kostka(alpha, beta)
             if kn:
                 residue[beta] = residue.get(beta, 0) - c * kn
     leftovers = {exp: c for exp, c in residue.items() if c}
     if leftovers:
         raise ArithmeticError(f"non-symmetric residue in Schur expansion: {leftovers}")
-    return coeffs
+    return out
 
 
 @cache
 def _plethysm_expansion(mu):
-    """Schur expansions of s_(2) o s_mu and s_(1,1) o s_mu, from one square.
+    """Schur expansions of s_(2) o s_mu and s_(1,1) o s_mu.
 
-    The two are (s_mu^2 + s_mu[p_2]) / 2 and (s_mu^2 - s_mu[p_2]) / 2.
+    The two are (s_mu^2 + s_mu[p_2]) / 2 and (s_mu^2 - s_mu[p_2]) / 2, read
+    at each partition exponent alpha of 2|mu| from the monomials K_e x^e of
+    s_mu: [x^alpha] s_mu^2 is the sum of K_e K_(alpha - e), and
+    [x^alpha] s_mu[p_2] is K_(alpha / 2) when every part of alpha is even.
     """
     mu = tuple(mu)
     total = 2 * sum(mu)
-    nvars = total
-    base = _ssyt_monomials(mu, nvars)
-    squared = _poly_square(base)
-    doubled = {tuple(2 * e for e in exp): c for exp, c in base.items()}
-    expansions = []
-    for sign in (1, -1):
-        combined = defaultdict(int, squared)
-        for exp, c in doubled.items():
-            combined[exp] += sign * c
-        if any(c % 2 for c in combined.values()):
-            raise ArithmeticError("plethysm expansion is not integral")
-        halved = {exp: c // 2 for exp, c in combined.items() if c}
-        expansions.append(_schur_expand(halved, total, nvars))
-    return tuple(expansions)
+    base = _ssyt_monomials(mu, total)
+    halves = ({}, {})
+    for alpha in partitions(total):
+        exp = alpha + (0,) * (total - len(alpha))
+        square = sum(c * base.get(tuple(a - x for a, x in zip(exp, e)), 0) for e, c in base.items())
+        doubled = 0 if any(a % 2 for a in alpha) else base.get(tuple(a // 2 for a in exp), 0)
+        for half, c in zip(halves, (square + doubled, square - doubled)):
+            if c % 2:
+                raise ArithmeticError("plethysm expansion is not integral")
+            if c:
+                half[alpha] = c // 2
+    return tuple(_schur_expand(half, total) for half in halves)
 
 
 def oracle_plethysm_coefficient(nu, mu, la):

@@ -4,13 +4,22 @@ Each test runs its suite exactly as the CLI would, prints the labeled
 criterion line, and asserts the suite's verdict with no tolerances.  The
 conservation suite runs last on purpose: it re-checks the degree identity
 on every restriction vector the earlier criteria left in the engine memo.
+After the battery, `verify all` runs once more in a fresh interpreter and
+its lines are compared with the benchmark's reference.
 """
 
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from sylowbranch import engine
 from sylowbranch import verify as ver
+
+VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/references/verify-all.txt"
 
 
 def _check(name, budget_seconds, **kwargs):
@@ -79,3 +88,34 @@ def test_criterion_09_structure():
 def test_criterion_10_conservation():
     # degree identity on every memoized vector plus the conjugation twist
     _check("conservation", 600)
+
+
+@pytest.mark.parametrize("broken", [(3, 1), (2, 1, 1)])
+def test_conservation_catches_a_broken_twist(monkeypatch, broken):
+    # the pair is compared once, at (3, 1); breaking either side must show
+    real = engine.lin_constituents
+
+    def lin_constituents(la, p):
+        vec = dict(real(la, p))
+        if p == 2 and la == broken:
+            vec[((0, 0),)] = vec.get(((0, 0),), 0) + 1
+        return vec
+
+    monkeypatch.setattr(engine, "lin_constituents", lin_constituents)
+    res = ver.conservation()
+    assert not res.ok
+    assert res.detail == "twist symmetry fails at p=2, (3, 1) and (2, 1, 1)"
+
+
+def test_verify_all_matches_the_bench_reference():
+    # a fresh interpreter starts with empty memos, as the benchmark's runs do
+    r = subprocess.run(
+        [sys.executable, "-m", "sylowbranch", "verify", "all"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert r.returncode == 4, r.stderr
+    pattern = re.compile(r"criterion \d\d (\S+): (PASS|FAIL) - (.*)")
+    got = ["\t".join(pattern.fullmatch(line).groups()) for line in r.stdout.splitlines()]
+    assert got == VERIFY_REFERENCE.read_text(encoding="utf-8").splitlines()

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from sylowbranch import engine
 from sylowbranch import tower as tw
 from sylowbranch.cli import main
@@ -245,7 +247,7 @@ def test_cache_corrupt_label_rejected(tmp_path):
         assert json.loads(cache.read_text()) == doc
 
 
-def test_cache_malformed_document_rejected(tmp_path):
+def test_cache_malformed_document_rejected(tmp_path, monkeypatch):
     cache = tmp_path / "vec.json"
     good = _corrupt_label_doc("0")
     entry = good["entries"][0]
@@ -258,6 +260,17 @@ def test_cache_malformed_document_rejected(tmp_path):
         # a non-prime p, and |lambda| != p^k; both keep the degree sum
         dict(good, entries=[{"p": 4, "k": 1, "lambda": "4", "vector": [["0", 1]]}]),
         dict(good, entries=[{"p": 2, "k": 1, "lambda": "3", "vector": [["0", 1]]}]),
+        # a repeated label, whose last multiplicity would win, and a float one
+        dict(good, entries=[dict(entry, vector=[["0", 5], ["0", 1]])]),
+        dict(good, entries=[dict(entry, vector=[["0", 1.7]])]),
+        dict(good, entries=[dict(entry, vector=[["0", True]])]),
+        # p and k must be JSON integers, not floats, strings or booleans
+        dict(good, entries=[dict(entry, p=2.9)]),
+        dict(good, entries=[dict(entry, p="2")]),
+        dict(good, entries=[dict(entry, k="1")]),
+        dict(good, entries=[dict(entry, k=True)]),
+        # the same (p, k, lambda) twice
+        dict(good, entries=[entry, entry]),
     )
     for doc in docs:
         cache.write_text(json.dumps(doc))
@@ -268,6 +281,11 @@ def test_cache_malformed_document_rejected(tmp_path):
         assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (doc, r.stderr)
         assert "corrupt cache entry" in r.stderr or "not a restriction cache" in r.stderr
         assert cache.read_bytes() == before
+        # a rejected file loads nothing, not even the entries before the bad one
+        monkeypatch.setattr(engine, "_full_memo", {})
+        with pytest.raises(ValueError):
+            engine.load_cache(cache)
+        assert engine._full_memo == {}, doc
 
 
 def test_cache_entry_above_the_size_bound_rejected(tmp_path):

@@ -1,6 +1,6 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -184,3 +184,38 @@ def test_plethysm_oracle_domain():
         orc.oracle_plethysm_coefficient((3,), (2,), (6,))
     with pytest.raises(ValueError):
         orc.oracle_plethysm_coefficient((2,), (3, 2), (10,))
+
+
+def _full_square_sides(mu):
+    """s_mu^2 + s_mu(x^2) and s_mu^2 - s_mu(x^2), every monomial in 2|mu| variables."""
+    base = orc._ssyt_monomials(mu, 2 * sum(mu))
+    square = defaultdict(int)
+    for ea, ca in base.items():
+        for eb, cb in base.items():
+            square[tuple(x + y for x, y in zip(ea, eb))] += ca * cb
+    sides = []
+    for sign in (1, -1):
+        side = defaultdict(int, square)
+        for exp, c in base.items():
+            side[tuple(2 * e for e in exp)] += sign * c
+        sides.append({exp: c for exp, c in side.items() if c})
+    return sides
+
+
+def test_plethysm_expansion_matches_the_full_square():
+    # the oracle reads only partition exponents; the full square checks that
+    # they fix s_mu^2 +- s_mu(x^2): both sides are even and symmetric
+    for mu in partitions(1) + partitions(2) + partitions(3) + partitions(4):
+        total = 2 * sum(mu)
+        want = []
+        for side in _full_square_sides(mu):
+            for exp, c in side.items():
+                assert c % 2 == 0, (mu, exp)
+                assert side.get(tuple(sorted(exp, reverse=True))) == c, (mu, exp)
+            dominant = {
+                tuple(e for e in exp if e): c // 2
+                for exp, c in side.items()
+                if list(exp) == sorted(exp, reverse=True)
+            }
+            want.append(orc._schur_expand(dominant, total))
+        assert orc._plethysm_expansion(mu) == tuple(want), mu
