@@ -14,17 +14,18 @@ reduces to fillings and abaci; character values serve the classification
 and the oracles.
 
 cyclic_split is the one place a character of C_p is split over the p
-linear characters: the plethysm split, the engine's twist weights and
-symmetric-power counts, and the cyclic case of the odd-prime
+linear characters: the plethysm split, the engine's Stage A check and
+Stage B per-label split, and the cyclic case of the odd-prime
 classification all call it.
 
 split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
-that enumerates fillings, one recursion level per cell over flat index
-arrays; lr_coefficient reads one of its entries.  young_decompose folds it
-over any number of blocks, peeling the last block first and merging
-partial results by remaining shape; lr_multi reads one entry of the fold,
-keeping only the wanted constituent of each block.  split_pairs is
-memoized, so callers must treat its dicts as read-only.
+that enumerates fillings: it builds la's cell grid once and walks each
+inner shape's skew cells on it, one recursion level per cell over flat
+index arrays; lr_coefficient reads one of its entries.  young_decompose
+folds it over any number of blocks, peeling the last block first and
+merging partial results by remaining shape; lr_multi reads one entry of
+the fold, keeping only the wanted constituent of each block.  split_pairs
+is memoized, so callers must treat its dicts as read-only.
 """
 
 from collections import Counter, defaultdict
@@ -95,48 +96,6 @@ def character_value(la, ct):
     return _mn(tuple(la), tuple(sorted(ct, reverse=True)))
 
 
-def _lattice_fillings(la, mu):
-    """Count the lattice skew fillings of la/mu, bucketed by content.
-
-    Fillings are weakly increasing along rows, strictly increasing down
-    columns, and their reverse row word (rows top to bottom, each read right
-    to left) stays a ballot sequence, which is exactly the lattice condition
-    enforced incrementally below.  mu must lie inside la.
-
-    The walk recurses once per cell over flat arrays: a cell's value runs
-    from vals[above[pos]] + 1 to vals[right[pos]], where vals[n] = 0 stands
-    for no cell above and vals[n + 1 + r] = r + 1 caps row r; the sentinel
-    counts[0] lets every 1 pass the ballot test.
-    """
-    rows = len(la)
-    cells = [
-        (r, c)
-        for r in range(rows)
-        for c in range(la[r] - 1, (mu[r] if r < len(mu) else 0) - 1, -1)
-    ]
-    n = len(cells)
-    index = {cell: pos for pos, cell in enumerate(cells)}
-    above = [index.get((r - 1, c), n) for r, c in cells]
-    right = [index.get((r, c + 1), n + 1 + r) for r, c in cells]
-    vals = [0] * (n + 1) + list(range(1, rows + 1))
-    counts = [n + 1] + [0] * (rows + 1)
-    buckets = defaultdict(int)
-
-    def fill(pos):
-        if pos == n:
-            buckets[tuple(counts[1 : counts.index(0)])] += 1
-            return
-        for v in range(vals[above[pos]] + 1, vals[right[pos]] + 1):
-            if counts[v] < counts[v - 1]:
-                counts[v] += 1
-                vals[pos] = v
-                fill(pos + 1)
-                counts[v] -= 1
-
-    fill(0)
-    return dict(buckets)
-
-
 def lr_coefficient(la, mu, nu):
     """Littlewood-Richardson coefficient c^la_{mu,nu}."""
     la, mu, nu = tuple(la), tuple(mu), tuple(nu)
@@ -172,19 +131,58 @@ def subshapes(la, size):
 def split_pairs(la, m):
     """Restriction of la to S_m x S_{n-m}: dict (mu, nu) -> c^la_{mu,nu}.
 
-    Enumerates sub-shapes on the smaller side and buckets the lattice
-    fillings of the complement by content, so the work is the same whichever
-    factor is smaller.
+    Enumerates sub-shapes mu on the smaller side and buckets the lattice
+    skew fillings of la/mu by content nu, so the work is the same whichever
+    factor is smaller.  Fillings are weakly increasing along rows, strictly
+    increasing down columns, and their reverse row word (rows top to bottom,
+    each read right to left) stays a ballot sequence, which is exactly the
+    lattice condition enforced incrementally below.
+
+    la's cell grid is built once, in that reading order.  Each inner shape
+    mu walks its skew cells on it, recursing once per cell, with mu's cells
+    holding value 0: a cell's value runs from vals[above[pos]] + 1 to
+    vals[right[pos]], where vals[n] = 0 stands for no cell above and
+    vals[n + 1 + r] = r + 1 caps row r; the sentinel counts[0] lets every 1
+    pass the ballot test.
     """
     n = sum(la)
     if not 0 <= m <= n:
         raise ValueError(f"block size {m} out of range for |la| = {n}")
     small = min(m, n - m)
+    rows = len(la)
+    cells = [(r, c) for r in range(rows) for c in range(la[r] - 1, -1, -1)]
+    index = {cell: pos for pos, cell in enumerate(cells)}
+    above = [index.get((r - 1, c), n) for r, c in cells]
+    right = [index.get((r, c + 1), n + 1 + r) for r, c in cells]
+    starts = [index[r, la[r] - 1] for r in range(rows)]
+    vals = [0] * (n + 1) + list(range(1, rows + 1))
+    counts = [n + 1] + [0] * (rows + 1)
     table = {}
+
+    def fill(i):
+        if i == len(skew):
+            buckets[tuple(counts[1 : counts.index(0)])] += 1
+            return
+        pos = skew[i]
+        for v in range(vals[above[pos]] + 1, vals[right[pos]] + 1):
+            if counts[v] < counts[v - 1]:
+                counts[v] += 1
+                vals[pos] = v
+                fill(i + 1)
+                counts[v] -= 1
+
     for inner in subshapes(la, small):
-        for content, cnt in _lattice_fillings(la, inner).items():
-            key = (inner, content) if small == m else (content, inner)
-            table[key] = cnt
+        skew = [
+            pos
+            for r in range(rows)
+            for pos in range(starts[r], starts[r] + la[r] - (inner[r] if r < len(inner) else 0))
+        ]
+        vals[:n] = [0] * n
+        buckets = defaultdict(int)
+        fill(0)
+        for content, cnt in buckets.items():
+            table[(inner, content) if small == m else (content, inner)] = cnt
+    del fill  # a reference cycle: without it the grid waits for the collector
     return table
 
 

@@ -9,24 +9,24 @@ characters.cyclic_split: a character of C_p with degree c and value d on
 a generator contains the trivial character (c + (p-1) d)/p times and each
 other linear character (c - d)/p times.
 
-Stage A decomposes over W: a non-constant C_p-orbit of p-tuples
-(mu_1..mu_p) of partitions of p^{k-1}, kept as its least rotation,
-contributes its induced character with multiplicity c^la_{mu_1..mu_p}
-(the Young fold holds every rotation), and a constant tuple mu^p splits over
-the p twists as cyclic_split(p, c^la_{mu..mu}, D), with D the stretched
-pairing <s_mu[p_p], s_la>.  (For p = 2 this is the classical
+Stage A decomposes over W into p-tuples (mu_1..mu_p) of partitions of
+p^{k-1}, each kept as its least rotation with the pair (c, d): c is
+c^la_{mu_1..mu_p} (the Young fold holds every rotation), and d is the
+stretched pairing D = <s_mu[p_p], s_la> for a constant tuple mu^p and 0
+otherwise.  A constant tuple's split cyclic_split(p, c, D) over the p
+twists is asserted there.  (For p = 2 this is the classical
 symmetric/alternating square split; for odd p it is the same Frobenius
 computation carried out over C_p, where only the Galois-invariant
 aggregate enters, so no choice of primitive root is made.  The odd-p
 stage is a derived extension validated against the brute-force oracle.)
 
 Stage B restricts each W-constituent to P via the recursively known vectors
-R_mu of the factors: twisted constituents split their constant-label blocks
-through the symmetric-power counts N_s(m) = cyclic_split(p, m^p, m)[s],
-the C_p-orbits on the m^p tuples of a block's m labels (all of them for
-s = 0, the non-constant ones otherwise), and induced constituents restrict
-by Mackey's theorem with a single double coset, scattering products of
-factor multiplicities over orbit labels.  The
+R_mu of the factors.  Its twisted part is one character of C_p per label l
+met in every factor of a tuple: a non-constant orbit adds the regular
+character (p c prod_i m_i(l), 0), a constant tuple mu^p the twisted tensor
+power (c m^p, d m), and each label is split once by cyclic_split.  Induced
+constituents restrict by Mackey's theorem with a single double coset,
+scattering products of factor multiplicities over orbit labels.  The
 scatter ranks the factor labels once by label_text, so an orbit label's
 least rotation is taken on int tuples and equals the one tw.orbit picks.
 It is bilinear in the factor vectors: classes sharing their first p - 1
@@ -47,7 +47,6 @@ checks run on.
 
 import os
 from collections import defaultdict
-from functools import cache
 from itertools import product
 from math import prod
 
@@ -59,30 +58,24 @@ _full_memo = {}
 _lin_memo = {}
 
 
-@cache
-def _sym_power_counts(p, m):
-    """N_s(m) for s = 0..p-1: how an m-fold constant block splits over twists."""
-    return ch.cyclic_split(p, m**p, m)
-
-
 def _stage_a(la, p, k):
-    """Decomposition over W: (non-constant orbit classes, constant data).
+    """Decomposition over W: least-rotation p-tuple of partitions -> (c, d).
 
-    Returns (classes, consts) where classes maps a canonical p-tuple of
-    partitions to its multiplicity and consts maps mu to (c, twist weights).
-    Each class is its least rotation; rotations are built only if mus[0] is least.
+    c is c^la_{mu_1..mu_p}.  For a constant tuple mu^p, d is the stretched
+    pairing D, and its split cyclic_split(p, c, d) over the p twists is
+    asserted integral here; for a non-constant tuple d = 0.  Rotations are
+    built only if mus[0] is least.
     """
     m = p ** (k - 1)
-    classes = {}
-    consts = {}
+    out = {}
     for mus, c in ch.young_decompose(la, (m,) * p).items():
         if len(set(mus)) == 1:
-            mu = mus[0]
-            d = ch.stretch_coefficient(la, mu, p)
-            consts[mu] = (c, ch.cyclic_split(p, c, d))
+            d = ch.stretch_coefficient(la, mus[0], p)
+            ch.cyclic_split(p, c, d)
+            out[mus] = (c, d)
         elif mus[0] == min(mus) and mus == min(tw.rotations(mus)):
-            classes[mus] = c
-    return classes, consts
+            out[mus] = (c, 0)
+    return out
 
 
 def _check_size(la, p, k):
@@ -97,35 +90,36 @@ def _stage_b(tower, la, p, k, extend):
 
     tower is the per-factor function one level down (restrict_tower or
     linear_tower) and extend(label, t) the label it twists into one level up.
-    Returns (acc, blocks): acc holds the twisted part -- the constant-label
-    tuples of the orbit classes and the symmetric-power split of the
-    constant tuples -- and blocks lists (c, factor vectors, constant) for
-    the full path to scatter over induced labels.
+    Returns (acc, blocks): acc is the twisted part, one C_p character
+    (degree, value) per label split once, and blocks lists (c, factor
+    vectors, constant) for the full path to scatter over induced labels.  A
+    constant tuple's value is d m because C_p fixes m of the label's m^p
+    tuples.
     """
-    classes, consts = _stage_a(la, p, k)
-    acc = defaultdict(int)
+    deg = defaultdict(int)
+    val = defaultdict(int)
     blocks = []
-    for mus, c in classes.items():
+    for mus, (c, d) in _stage_a(la, p, k).items():
+        if len(set(mus)) == 1:
+            sub = tower(mus[0], p, k - 1)
+            blocks.append((c, [sub] * p, True))
+            for lab, m in sub.items():
+                deg[lab] += c * m**p
+                val[lab] += d * m
+            continue
         parts = [tower(mu, p, k - 1) for mu in mus]
         blocks.append((c, parts, False))
         for lab, m in parts[0].items():
-            coeff = c * m
+            coeff = p * c * m
             for other in parts[1:]:
                 coeff *= other.get(lab, 0)
             if coeff:
-                for t in range(p):
-                    acc[extend(lab, t)] += coeff
-    for mu, (c, weights) in consts.items():
-        sub = tower(mu, p, k - 1)
-        blocks.append((c, [sub] * p, True))
-        for lab, m in sub.items():
-            counts = _sym_power_counts(p, m)
-            for t, w in enumerate(weights):
-                if not w:
-                    continue
-                for s in range(p):
-                    if counts[s]:
-                        acc[extend(lab, (t + s) % p)] += w * counts[s]
+                deg[lab] += coeff
+    acc = {}
+    for lab, n in deg.items():
+        for t, w in enumerate(ch.cyclic_split(p, n, val[lab])):
+            if w:
+                acc[extend(lab, t)] = w
     return acc, blocks
 
 
@@ -217,7 +211,7 @@ def linear_tower(la, p, k):
     if k == 0:
         vec = {(): 1}
     else:
-        vec = dict(_stage_b(linear_tower, la, p, k, _append_digit)[0])
+        vec = _stage_b(linear_tower, la, p, k, _append_digit)[0]
     _lin_memo[p, k, la] = vec
     return vec
 
@@ -251,7 +245,7 @@ def sbc(la, p, psi):
     tuples in ascending factor order.
     """
     la = check_partition(la)
-    psi = tw.linear_factors(psi, sylow_shape(sum(la), p))
+    psi = tw.linear_factors(psi, p, sylow_shape(sum(la), p))
     return linear_sylow(la, p).get(psi, 0)
 
 

@@ -127,7 +127,7 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
     """
     la = check_partition(la)
     n = sum(la)
-    psi = tw.linear_factors(psi, sylow_shape(n, p))
+    psi = tw.linear_factors(psi, p, sylow_shape(n, p))
     order = tw.check_budget(n, p, budget)
     acc = [0] * p
     for (ct, sigs), count in _signature_buckets(n, p).items():

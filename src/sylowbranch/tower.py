@@ -97,10 +97,11 @@ def linear_label(digits):
     return label
 
 
-def linear_factors(psi, heights):
-    """A linear label as per-factor digit tuples, checked against the heights.
+def linear_factors(psi, p, heights):
+    """A linear label as per-factor digit tuples, checked against p and the heights.
 
     A bare digit tuple is accepted when the Sylow subgroup has one factor.
+    Every digit must be an int in range(p); it is not reduced mod p.
     """
     psi = tuple(psi)
     if len(heights) == 1 and (not psi or isinstance(psi[0], int)):
@@ -108,6 +109,8 @@ def linear_factors(psi, heights):
     psi = tuple(tuple(f) for f in psi)
     if len(psi) != len(heights) or any(len(f) != h for f, h in zip(psi, heights)):
         raise ValueError(f"label {psi} does not match the factor shape {heights}")
+    if any(type(d) is not int or not 0 <= d < p for f in psi for d in f):
+        raise ValueError(f"label {psi} has a digit outside range({p})")
     return psi
 
 

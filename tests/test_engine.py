@@ -8,20 +8,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowbranch import engine
+from sylowbranch import characters, engine
 from sylowbranch import tower as tw
-from sylowbranch.characters import plethysm_split, sn_degree, split_pairs
+from sylowbranch.characters import cyclic_split, plethysm_split, sn_degree, split_pairs
 from sylowbranch.partitions import conjugate, hook, partitions, sylow_shape
 
 
-def test_sym_power_counts_are_orbit_counts():
-    # N_0(m) counts all C_p-orbits on range(m)^p, N_s(m) for s != 0 the
-    # non-constant ones
+def test_twisted_tensor_power_split_is_orbit_convolution():
+    # Stage B splits a constant tuple's twisted tensor power (c m^p, d m)
+    # once.  The reference convolves the twist weights cyclic_split(p, c, d)
+    # with the C_p-orbit counts on range(m)^p: N_0 counts all orbits, N_s for
+    # s != 0 the non-constant ones
     for p in (2, 3, 5):
         for m in range(6):
             orbits = {min(t[i:] + t[:i] for i in range(p)) for t in product(range(m), repeat=p)}
             nonconstant = sum(len(set(t)) > 1 for t in orbits)
-            assert engine._sym_power_counts(p, m) == (len(orbits),) + (nonconstant,) * (p - 1)
+            counts = (len(orbits),) + (nonconstant,) * (p - 1)
+            for c in range(13):
+                for d in range(-c, c + 1):
+                    if (c - d) % p or (c - d) // p + d < 0:
+                        continue
+                    w = cyclic_split(p, c, d)
+                    want = tuple(sum(w[t] * counts[(s - t) % p] for t in range(p)) for s in range(p))
+                    assert cyclic_split(p, c * m**p, d * m) == want, (p, m, c, d)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda la, mu, d: d + 1,
+        # keeps every per-label split of Stage B integral and nonnegative, so
+        # only Stage A's check on the constant tuple (4)^2 catches it
+        lambda la, mu, d: d + 2 if (la, mu) == ((6, 2), (4,)) else d,
+    ],
+    ids=["every-pairing", "one-pairing"],
+)
+def test_stage_a_checks_each_constant_split(monkeypatch, broken):
+    real = characters.stretch_coefficient
+    monkeypatch.setattr(
+        characters, "stretch_coefficient", lambda la, mu, p: broken(la, mu, real(la, mu, p))
+    )
+    for tower in (engine.restrict_tower, engine.linear_tower):
+        monkeypatch.setattr(engine, "_full_memo", {})
+        monkeypatch.setattr(engine, "_lin_memo", {})
+        with pytest.raises(ArithmeticError, match="cyclic split"):
+            tower((6, 2), 2, 3)
 
 
 def test_restrict_tower_trivial_levels():
@@ -113,10 +144,12 @@ def test_lin_constituents_composite_oracle_confirmed():
 def test_stage_a_matches_plethysm_split_at_two():
     # constant-block weights at p=2 are exactly the symmetric/alternating split
     for la in partitions(8):
-        _, consts = engine._stage_a(la, 2, 3)
-        for mu, (c, weights) in consts.items():
-            a2, a11 = plethysm_split(la, mu)
-            assert tuple(weights) == (a2, a11)
+        for mus, (c, d) in engine._stage_a(la, 2, 3).items():
+            if mus[0] != mus[1]:
+                assert d == 0
+                continue
+            a2, a11 = plethysm_split(la, mus[0])
+            assert cyclic_split(2, c, d) == (a2, a11)
             assert c == a2 + a11
 
 
@@ -260,6 +293,7 @@ def test_cache_rejects_label_of_wrong_height(tmp_path):
 def _naive_tower(la, p, k):
     """restrict_tower from the _stage_b blocks, scattering every product tuple through tw.orbit."""
     acc, blocks = engine._stage_b(engine.restrict_tower, la, p, k, tw.twist)
+    acc = defaultdict(int, acc)
     tuples = defaultdict(int)
     for c, parts, constant in blocks:
         for combo in product(*(part.items() for part in parts)):

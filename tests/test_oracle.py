@@ -55,6 +55,14 @@ def test_full_oracle_matches_engine_sample():
         assert orc.oracle_full_restriction(la, 3) == engine.restrict_tower(la, 3, 2)
 
 
+def test_engine_and_oracle_reject_out_of_range_digits():
+    # neither library path reduces a digit mod p
+    for la, p, psi in (((2,), 2, (2,)), ((2, 1), 3, (-1,))):
+        for count in (engine.sbc, orc.oracle_linear_multiplicity):
+            with pytest.raises(ValueError, match="outside range"):
+                count(la, p, psi)
+
+
 def test_full_oracle_rejects_composite_size():
     with pytest.raises(ValueError):
         orc.oracle_full_restriction((4, 2), 2)
