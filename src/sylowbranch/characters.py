@@ -14,9 +14,9 @@ reduces to fillings and abaci; character values serve the classification
 and the oracles.
 
 cyclic_split is the one place a character of C_p is split over the p
-linear characters: the plethysm split, the engine's Stage A check and
-Stage B per-label split, and the cyclic case of the odd-prime
-classification all call it.
+linear characters: the plethysm split, the engine's check of each
+constant tuple and its per-label split, and the cyclic case of the
+odd-prime classification all call it.
 
 split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
 that enumerates fillings: it builds la's cell grid once and walks each

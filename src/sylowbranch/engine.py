@@ -20,29 +20,33 @@ computation carried out over C_p, where only the Galois-invariant
 aggregate enters, so no choice of primitive root is made.  The odd-p
 stage is a derived extension validated against the brute-force oracle.)
 
-Stage B restricts each W-constituent to P via the recursively known vectors
-R_mu of the factors.  Its twisted part is one character of C_p per label l
-met in every factor of a tuple: a non-constant orbit adds the regular
-character (p c prod_i m_i(l), 0), a constant tuple mu^p the twisted tensor
-power (c m^p, d m), and each label is split once by cyclic_split.  Induced
-constituents restrict by Mackey's theorem with a single double coset,
-scattering products of factor multiplicities over orbit labels.  The
-scatter ranks the factor labels once by label_text, so an orbit label's
-least rotation is taken on int tuples and equals the one tw.orbit picks.
-It is bilinear in the factor vectors: classes sharing their first p - 1
-factors are contracted into one vector for the last factor, products are
-summed on raw rank tuples, and each distinct tuple is rotated once.  A
-constant block visits only the (m^p - m)/p Lyndon words over its m labels,
-which for prime p are the least rotations of its non-constant necklaces.
-The stretched pairing D comes from Littlewood's p-quotient rule
-(characters.stretch_coefficient), not from a sum over cycle types.
+Stage B, on the full path (restrict_tower), restricts each W-constituent to
+P via the recursively known vectors R_mu of the factors.  Its twisted part
+is one character of C_p per label l met in every factor of a tuple: a
+non-constant orbit adds the regular character (p c prod_i m_i(l), 0), a
+constant tuple mu^p the twisted tensor power (c m^p, d m), and each label
+is split once by cyclic_split.  Induced constituents restrict by Mackey's
+theorem with a single double coset, scattering products of factor
+multiplicities over orbit labels.  The scatter ranks the factor labels once
+by label_text, so an orbit label's least rotation is taken on int tuples
+and equals the one tw.orbit picks.  It is bilinear in the factor vectors:
+classes sharing their first p - 1 factors are contracted into one vector
+for the last factor, products are summed on raw rank tuples, and each
+distinct tuple is rotated once.  A constant block visits only the
+(m^p - m)/p Lyndon words over its m labels, which for prime p are the
+least rotations of its non-constant necklaces.  The stretched pairing D comes
+from Littlewood's p-quotient rule (characters.stretch_coefficient), not
+from a sum over cycle types.
 
 Every divisibility is asserted and every full vector is checked against
 dimension conservation; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
-checks run on.
+checks run on.  It is the twisted part of Stage B alone, and it folds that
+part directly over the p blocks, summing label products over all ordered
+tuples by remaining shape, so it never builds Stage A's p-tuples; only
+the constant tuples mu^p are followed, for their pairing D.
 """
 
 import os
@@ -85,29 +89,34 @@ def _check_size(la, p, k):
     return la
 
 
-def _stage_b(tower, la, p, k, extend):
-    """Stage B up to the induced labels, shared by the full and linear paths.
+def _split_twists(p, deg, val):
+    """Each label's C_p character (deg, val) split once: (label, t, multiplicity > 0)."""
+    for lab, n in deg.items():
+        for t, w in enumerate(ch.cyclic_split(p, n, val[lab])):
+            if w:
+                yield lab, t, w
 
-    tower is the per-factor function one level down (restrict_tower or
-    linear_tower) and extend(label, t) the label it twists into one level up.
+
+def _stage_b(la, p, k):
+    """Stage B of restrict_tower up to the induced labels.
+
     Returns (acc, blocks): acc is the twisted part, one C_p character
     (degree, value) per label split once, and blocks lists (c, factor
-    vectors, constant) for the full path to scatter over induced labels.  A
-    constant tuple's value is d m because C_p fixes m of the label's m^p
-    tuples.
+    vectors, constant) for _orbit_scatter.  A constant tuple's value is d m
+    because C_p fixes m of the label's m^p tuples.
     """
     deg = defaultdict(int)
     val = defaultdict(int)
     blocks = []
     for mus, (c, d) in _stage_a(la, p, k).items():
         if len(set(mus)) == 1:
-            sub = tower(mus[0], p, k - 1)
+            sub = restrict_tower(mus[0], p, k - 1)
             blocks.append((c, [sub] * p, True))
             for lab, m in sub.items():
                 deg[lab] += c * m**p
                 val[lab] += d * m
             continue
-        parts = [tower(mu, p, k - 1) for mu in mus]
+        parts = [restrict_tower(mu, p, k - 1) for mu in mus]
         blocks.append((c, parts, False))
         for lab, m in parts[0].items():
             coeff = p * c * m
@@ -115,11 +124,7 @@ def _stage_b(tower, la, p, k, extend):
                 coeff *= other.get(lab, 0)
             if coeff:
                 deg[lab] += coeff
-    acc = {}
-    for lab, n in deg.items():
-        for t, w in enumerate(ch.cyclic_split(p, n, val[lab])):
-            if w:
-                acc[extend(lab, t)] = w
+    acc = {tw.twist(lab, t): w for lab, t, w in _split_twists(p, deg, val)}
     return acc, blocks
 
 
@@ -178,7 +183,7 @@ def restrict_tower(la, p, k):
     if k == 0:
         vec = {tw.LEAF: 1}
     else:
-        acc, blocks = _stage_b(restrict_tower, la, p, k, tw.twist)
+        acc, blocks = _stage_b(la, p, k)
         vec = {**acc, **_orbit_scatter(blocks, p)}
     total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
     if total != ch.sn_degree(la):
@@ -190,17 +195,14 @@ def restrict_tower(la, p, k):
     return vec
 
 
-def _append_digit(digits, t):
-    return digits + (t,)
-
-
 def linear_tower(la, p, k):
     """Linear-degree slice of restrict_tower, keyed by digit strings.
 
     Exact projection of the same recursion: only the degree-1 labels of the
     factors can assemble into a degree-1 label one level up, through either
     a constant tuple (twists) or a constant block of a twisted constituent,
-    so the slice is the twisted part of Stage B alone.
+    so the slice is the twisted part of Stage B alone.  _linear_fold
+    computes it without Stage A's p-tuples.
     """
     hit = _lin_memo.get((p, k, la)) if isinstance(la, tuple) else None
     if hit is None:
@@ -211,9 +213,59 @@ def linear_tower(la, p, k):
     if k == 0:
         vec = {(): 1}
     else:
-        vec = _stage_b(linear_tower, la, p, k, _append_digit)[0]
+        vec = {lab + (t,): w for lab, t, w in _split_twists(p, *_linear_fold(la, p, k))}
     _lin_memo[p, k, la] = vec
     return vec
+
+
+def _linear_fold(la, p, k):
+    """(deg, val) of linear_tower's twisted part, dicts over the labels one level down.
+
+    Folds over the p blocks of size m = p^(k-1) as young_decompose does,
+    peeling the last block first and merging by remaining shape, but each
+    state holds {label l: sum of c prod_i m_{mu_i}(l)} instead of tuples.
+    So deg[l] is summed over all ordered tuples, which is p c prod_i m_i(l)
+    per non-constant orbit (its p rotations) and c m^p per constant tuple.
+    Beside the labels run the constant chains, mu -> sum of c over the peels
+    whose blocks were all mu, which end as c = c^la_{mu^p}; each such mu
+    adds d m_mu(l) to val[l], d the stretched pairing, and its own split
+    cyclic_split(p, c, d) is asserted, as in _stage_a.
+    """
+    m = p ** (k - 1)
+    # remaining shape -> (label -> running sum, mu -> running c of its constant
+    # chain); None before the first peel
+    states = {la: (None, None)}
+    subs = {}
+    for i in range(p - 1, -1, -1):
+        merged = defaultdict(lambda: (defaultdict(int), defaultdict(int)))
+        for rest, (vec, chains) in states.items():
+            # the first block takes what is left whole
+            pairs = ch.split_pairs(rest, m) if i else {(rest, ()): 1}
+            for (mu, nu), c in pairs.items():
+                sub = subs.get(mu)
+                if sub is None:
+                    sub = subs[mu] = linear_tower(mu, p, k - 1)
+                out, out_chains = merged[nu]
+                if vec is None:
+                    out_chains[mu] += c
+                    for lab, x in sub.items():
+                        out[lab] += c * x
+                    continue
+                if mu in chains:
+                    out_chains[mu] += c * chains[mu]
+                for lab, w in vec.items():
+                    x = sub.get(lab)
+                    if x:
+                        out[lab] += c * w * x
+        states = merged
+    deg, chains = states[()]
+    val = defaultdict(int)
+    for mu, c in chains.items():
+        d = ch.stretch_coefficient(la, mu, p)
+        ch.cyclic_split(p, c, d)
+        for lab, x in subs[mu].items():
+            val[lab] += d * x
+    return deg, val
 
 
 def _sylow_product(tower, la, p):
@@ -278,10 +330,9 @@ def save_cache(path):
                 "k": k,
                 "lambda": ",".join(map(str, la)),
                 "vector": [
-                    [tw.label_text(lab), m]
-                    for lab, m in sorted(
-                        vec.items(),
-                        key=lambda kv: (tw.label_degree(p, kv[0]), tw.label_text(kv[0])),
+                    [text, m]
+                    for _, text, m in sorted(
+                        (tw.label_degree(p, lab), tw.label_text(lab), m) for lab, m in vec.items()
                     )
                 ],
             }

@@ -53,13 +53,14 @@ def orbit(labels):
     """Induced label for a non-constant tuple, canonicalized by least rotation.
 
     Rotations are compared through label_text so that mixed-type nested
-    tuples never get compared directly.
+    tuples never get compared directly; each entry's text is built once.
     """
     labels = tuple(labels)
     if len(set(labels)) == 1:
         raise ValueError("orbit tuples must not be constant")
-    least = min(rotations(labels), key=lambda rot: tuple(label_text(sub) for sub in rot))
-    return ("orb",) + least
+    texts = tuple(label_text(sub) for sub in labels)
+    i = min(range(len(texts)), key=lambda i: texts[i:] + texts[:i])
+    return ("orb",) + labels[i:] + labels[:i]
 
 
 def lyndon_words(m, p):

@@ -37,8 +37,9 @@ def test_twisted_tensor_power_split_is_orbit_convolution():
     "broken",
     [
         lambda la, mu, d: d + 1,
-        # keeps every per-label split of Stage B integral and nonnegative, so
-        # only Stage A's check on the constant tuple (4)^2 catches it
+        # keeps every per-label split integral and nonnegative, so only the
+        # check on each constant tuple, here (4)^2, catches it: in _stage_a
+        # on the full path and in _linear_fold on the linear one
         lambda la, mu, d: d + 2 if (la, mu) == ((6, 2), (4,)) else d,
     ],
     ids=["every-pairing", "one-pairing"],
@@ -82,15 +83,21 @@ def test_restrict_tower_dimension_conservation():
 
 
 def test_linear_tower_is_the_linear_slice():
-    for p, k in ((2, 3), (3, 2)):
-        for la in partitions(p**k):
-            full = engine.restrict_tower(la, p, k)
-            slc = {
-                tw.linear_digits(lab): m
-                for lab, m in full.items()
-                if tw.linear_digits(lab) is not None
-            }
-            assert slc == engine.linear_tower(la, p, k)
+    # linear_tower folds its twisted part without Stage A's tuples, so this
+    # is the cross-check between the two paths
+    every = ((2, 3), (3, 2), (2, 4), (5, 1), (7, 1))
+    cases = [(la, p, k) for p, k in every for la in partitions(p**k)]
+    cases += [((32 - b, b) if b else (32,), 2, 5) for b in range(7)]
+    cases += [((27 - b, b) if b else (27,), 3, 3) for b in range(4)]
+    cases += [((5, 5, 5, 5, 5), 5, 2), ((21, 4), 5, 2)]
+    for la, p, k in cases:
+        full = engine.restrict_tower(la, p, k)
+        slc = {
+            tw.linear_digits(lab): m
+            for lab, m in full.items()
+            if tw.linear_digits(lab) is not None
+        }
+        assert slc == engine.linear_tower(la, p, k), (la, p, k)
 
 
 def test_every_shape_has_a_linear_constituent():
@@ -292,7 +299,7 @@ def test_cache_rejects_label_of_wrong_height(tmp_path):
 
 def _naive_tower(la, p, k):
     """restrict_tower from the _stage_b blocks, scattering every product tuple through tw.orbit."""
-    acc, blocks = engine._stage_b(engine.restrict_tower, la, p, k, tw.twist)
+    acc, blocks = engine._stage_b(la, p, k)
     acc = defaultdict(int, acc)
     tuples = defaultdict(int)
     for c, parts, constant in blocks:

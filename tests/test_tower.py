@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
@@ -118,6 +120,38 @@ def test_label_text_roundtrip():
     for p, k in ((2, 3), (3, 2)):
         for lab in tw.irr_labels(p, k):
             assert tw.parse_label(tw.label_text(lab)) == lab
+
+
+DRAWN_TOWERS = ((2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1))
+
+
+@st.composite
+def drawn_label(draw, orbits_only=False):
+    """A (p, label) from irr_labels at the towers above, optionally an orbit label."""
+    pools = [
+        (p, [lab for lab in tw.irr_labels(p, k) if tw.is_orbit(lab) or not orbits_only])
+        for p, k in DRAWN_TOWERS
+    ]
+    p, labels = draw(st.sampled_from([(p, labels) for p, labels in pools if labels]))
+    return p, draw(st.sampled_from(labels))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(drawn_label())
+def test_label_text_round_trip_on_drawn_labels(case):
+    _, lab = case
+    assert tw.parse_label(tw.label_text(lab)) == lab
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(drawn_label(orbits_only=True), st.integers(0, 4))
+def test_any_rotation_of_an_orbit_text_parses_to_the_canonical_label(case, shift):
+    # orbit picks the text-least rotation, so every rotation of the entries'
+    # texts must come back as the one stored label
+    p, lab = case
+    texts = [tw.label_text(sub) for sub in lab[1:]]
+    i = shift % p
+    assert tw.parse_label("[" + ",".join(texts[i:] + texts[:i]) + "]") == lab
 
 
 def test_parse_label_rejects_junk():
