@@ -230,9 +230,11 @@ def _build_parser():
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     saved = os.environ.get("SYLOW_BRANCH_BUDGET")
     if getattr(args, "budget", None) is not None:
         os.environ["SYLOW_BRANCH_BUDGET"] = str(args.budget)

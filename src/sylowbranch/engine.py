@@ -10,43 +10,45 @@ a generator contains the trivial character (c + (p-1) d)/p times and each
 other linear character (c - d)/p times.
 
 Stage A decomposes over W into p-tuples (mu_1..mu_p) of partitions of
-p^{k-1}, each kept as its least rotation with the pair (c, d): c is
-c^la_{mu_1..mu_p} (the Young fold holds every rotation), and d is the
-stretched pairing D = <s_mu[p_p], s_la> for a constant tuple mu^p and 0
-otherwise.  A constant tuple's split cyclic_split(p, c, D) over the p
-twists is asserted there.  (For p = 2 this is the classical
-symmetric/alternating square split; for odd p it is the same Frobenius
-computation carried out over C_p, where only the Galois-invariant
-aggregate enters, so no choice of primitive root is made.  The odd-p
-stage is a derived extension validated against the brute-force oracle.)
+p^{k-1}, each kept as its least rotation with c = c^la_{mu_1..mu_p} (the
+Young fold holds every rotation).
 
-Stage B, on the full path (restrict_tower), restricts each W-constituent to
-P via the recursively known vectors R_mu of the factors.  Its twisted part
-is one character of C_p per label l met in every factor of a tuple: a
-non-constant orbit adds the regular character (p c prod_i m_i(l), 0), a
-constant tuple mu^p the twisted tensor power (c m^p, d m), and each label
-is split once by cyclic_split.  Induced constituents restrict by Mackey's
-theorem with a single double coset, scattering products of factor
-multiplicities over orbit labels.  The scatter ranks the factor labels once
-by label_text, so an orbit label's least rotation is taken on int tuples
-and equals the one tw.orbit picks.  It is bilinear in the factor vectors:
-classes sharing their first p - 1 factors are contracted into one vector
-for the last factor, products are summed on raw rank tuples, and each
-distinct tuple is rotated once.  A constant block visits only the
-(m^p - m)/p Lyndon words over its m labels, which for prime p are the
-least rotations of its non-constant necklaces.  The stretched pairing D comes
-from Littlewood's p-quotient rule (characters.stretch_coefficient), not
-from a sum over cycle types.
+Stage B restricts each W-constituent to P via the recursively known
+vectors R_mu of the factors.  Its twisted part is one character of C_p per
+label l met in every factor of a tuple: a non-constant orbit adds the
+regular character (p c prod_i m_i(l), 0), a constant tuple mu^p the
+twisted tensor power (c m^p, D m), and each label is split once by
+cyclic_split.  D is the stretched pairing <s_mu[p_p], s_la>, from
+Littlewood's p-quotient rule (characters.stretch_coefficient), not from a
+sum over cycle types, and each constant tuple's own split
+cyclic_split(p, c, D) over the p twists is asserted.  (For p = 2 this is
+the classical symmetric/alternating square split; for odd p it is the
+same Frobenius computation carried out over C_p, where only the
+Galois-invariant aggregate enters, so no choice of primitive root is
+made.  The odd-p stage is a derived extension validated against the
+brute-force oracle.)  One fold, _twisted_part, computes this part for
+both towers: it runs over the p blocks by remaining shape, summing label
+products over all ordered tuples, so it never builds Stage A's p-tuples;
+only the constant tuples mu^p are followed, for their pairing D.
+
+On the full path (restrict_tower) the induced constituents restrict by
+Mackey's theorem with a single double coset, scattering products of
+factor multiplicities over orbit labels.  The scatter ranks the factor
+labels once by label_text, so an orbit label's least rotation is taken on
+int tuples and equals the one tw.orbit picks.  It is bilinear in the
+factor vectors: classes sharing their first p - 1 factors are contracted
+into one vector for the last factor, products are summed on raw rank
+tuples, and each distinct tuple is rotated once.  A constant block visits
+only the (m^p - m)/p Lyndon words over its m labels, which for prime p are
+the least rotations of its non-constant necklaces.
 
 Every divisibility is asserted and every full vector is checked against
 dimension conservation; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
-checks run on.  It is the twisted part of Stage B alone, and it folds that
-part directly over the p blocks, summing label products over all ordered
-tuples by remaining shape, so it never builds Stage A's p-tuples; only
-the constant tuples mu^p are followed, for their pairing D.
+checks run on.  It is the twisted part alone, the same fold over the
+linear vectors one level down, and it never goes through Stage A.
 """
 
 import os
@@ -63,23 +65,17 @@ _lin_memo = {}
 
 
 def _stage_a(la, p, k):
-    """Decomposition over W: least-rotation p-tuple of partitions -> (c, d).
+    """Decomposition over W: least-rotation p-tuple of partitions -> c^la_{mu_1..mu_p}.
 
-    c is c^la_{mu_1..mu_p}.  For a constant tuple mu^p, d is the stretched
-    pairing D, and its split cyclic_split(p, c, d) over the p twists is
-    asserted integral here; for a non-constant tuple d = 0.  Rotations are
-    built only if mus[0] is least.
+    The Young fold holds every rotation with the same coefficient, so
+    rotations are built only if mus[0] is least.
     """
     m = p ** (k - 1)
-    out = {}
-    for mus, c in ch.young_decompose(la, (m,) * p).items():
-        if len(set(mus)) == 1:
-            d = ch.stretch_coefficient(la, mus[0], p)
-            ch.cyclic_split(p, c, d)
-            out[mus] = (c, d)
-        elif mus[0] == min(mus) and mus == min(tw.rotations(mus)):
-            out[mus] = (c, 0)
-    return out
+    return {
+        mus: c
+        for mus, c in ch.young_decompose(la, (m,) * p).items()
+        if mus[0] == min(mus) and mus == min(tw.rotations(mus))
+    }
 
 
 def _check_size(la, p, k):
@@ -89,42 +85,20 @@ def _check_size(la, p, k):
     return la
 
 
-def _split_twists(p, deg, val):
-    """Each label's C_p character (deg, val) split once: (label, t, multiplicity > 0)."""
-    for lab, n in deg.items():
-        for t, w in enumerate(ch.cyclic_split(p, n, val[lab])):
-            if w:
-                yield lab, t, w
-
-
 def _stage_b(la, p, k):
     """Stage B of restrict_tower up to the induced labels.
 
-    Returns (acc, blocks): acc is the twisted part, one C_p character
-    (degree, value) per label split once, and blocks lists (c, factor
-    vectors, constant) for _orbit_scatter.  A constant tuple's value is d m
-    because C_p fixes m of the label's m^p tuples.
+    Returns (acc, blocks): acc is the twisted part from _twisted_part, keyed
+    by twisted labels, and blocks lists (c, factor vectors, constant) for
+    _orbit_scatter.
     """
-    deg = defaultdict(int)
-    val = defaultdict(int)
+    acc = {tw.twist(lab, t): w for lab, t, w in _twisted_part(restrict_tower, la, p, k)}
     blocks = []
-    for mus, (c, d) in _stage_a(la, p, k).items():
+    for mus, c in _stage_a(la, p, k).items():
         if len(set(mus)) == 1:
-            sub = restrict_tower(mus[0], p, k - 1)
-            blocks.append((c, [sub] * p, True))
-            for lab, m in sub.items():
-                deg[lab] += c * m**p
-                val[lab] += d * m
-            continue
-        parts = [restrict_tower(mu, p, k - 1) for mu in mus]
-        blocks.append((c, parts, False))
-        for lab, m in parts[0].items():
-            coeff = p * c * m
-            for other in parts[1:]:
-                coeff *= other.get(lab, 0)
-            if coeff:
-                deg[lab] += coeff
-    acc = {tw.twist(lab, t): w for lab, t, w in _split_twists(p, deg, val)}
+            blocks.append((c, [restrict_tower(mus[0], p, k - 1)] * p, True))
+        else:
+            blocks.append((c, [restrict_tower(mu, p, k - 1) for mu in mus], False))
     return acc, blocks
 
 
@@ -162,7 +136,7 @@ def _orbit_scatter(blocks, p):
             for r, m in tail:
                 raw[key + (r,)] += w * m
     for key, m in raw.items():
-        # a constant tuple belongs to the twisted part, counted in _stage_b
+        # a constant tuple belongs to the twisted part, counted in _twisted_part
         if key.count(key[0]) != p:
             induced[min(tw.rotations(key))] += m
     return {("orb",) + tuple(labels[r] for r in key): m for key, m in induced.items()}
@@ -201,8 +175,8 @@ def linear_tower(la, p, k):
     Exact projection of the same recursion: only the degree-1 labels of the
     factors can assemble into a degree-1 label one level up, through either
     a constant tuple (twists) or a constant block of a twisted constituent,
-    so the slice is the twisted part of Stage B alone.  _linear_fold
-    computes it without Stage A's p-tuples.
+    so the slice is the twisted part of Stage B alone, folded by
+    _twisted_part over the linear vectors one level down.
     """
     hit = _lin_memo.get((p, k, la)) if isinstance(la, tuple) else None
     if hit is None:
@@ -213,14 +187,15 @@ def linear_tower(la, p, k):
     if k == 0:
         vec = {(): 1}
     else:
-        vec = {lab + (t,): w for lab, t, w in _split_twists(p, *_linear_fold(la, p, k))}
+        vec = {lab + (t,): w for lab, t, w in _twisted_part(linear_tower, la, p, k)}
     _lin_memo[p, k, la] = vec
     return vec
 
 
-def _linear_fold(la, p, k):
-    """(deg, val) of linear_tower's twisted part, dicts over the labels one level down.
+def _twisted_part(tower, la, p, k):
+    """Stage B's twisted part: (label one level down, twist t, multiplicity > 0).
 
+    tower is restrict_tower or linear_tower, the vectors of the factors.
     Folds over the p blocks of size m = p^(k-1) as young_decompose does,
     peeling the last block first and merging by remaining shape, but each
     state holds {label l: sum of c prod_i m_{mu_i}(l)} instead of tuples.
@@ -229,7 +204,8 @@ def _linear_fold(la, p, k):
     Beside the labels run the constant chains, mu -> sum of c over the peels
     whose blocks were all mu, which end as c = c^la_{mu^p}; each such mu
     adds d m_mu(l) to val[l], d the stretched pairing, and its own split
-    cyclic_split(p, c, d) is asserted, as in _stage_a.
+    cyclic_split(p, c, d) is asserted.  Each label's C_p character
+    (deg[l], val[l]) is then split once.
     """
     m = p ** (k - 1)
     # remaining shape -> (label -> running sum, mu -> running c of its constant
@@ -244,7 +220,7 @@ def _linear_fold(la, p, k):
             for (mu, nu), c in pairs.items():
                 sub = subs.get(mu)
                 if sub is None:
-                    sub = subs[mu] = linear_tower(mu, p, k - 1)
+                    sub = subs[mu] = tower(mu, p, k - 1)
                 out, out_chains = merged[nu]
                 if vec is None:
                     out_chains[mu] += c
@@ -265,7 +241,12 @@ def _linear_fold(la, p, k):
         ch.cyclic_split(p, c, d)
         for lab, x in subs[mu].items():
             val[lab] += d * x
-    return deg, val
+    return [
+        (lab, t, w)
+        for lab, n in deg.items()
+        for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
+        if w
+    ]
 
 
 def _sylow_product(tower, la, p):
@@ -286,7 +267,7 @@ def restrict_sylow(la, p):
 
 
 def linear_sylow(la, p):
-    """Linear constituents over the full Sylow subgroup: digit tuples -> mult."""
+    """Linear constituents over the full Sylow subgroup: digit tuples -> mult > 0."""
     return _sylow_product(linear_tower, la, p)
 
 
@@ -301,9 +282,7 @@ def sbc(la, p, psi):
     return linear_sylow(la, p).get(psi, 0)
 
 
-def lin_constituents(la, p):
-    """Map digit-tuple labels -> multiplicity; every entry is positive."""
-    return linear_sylow(la, p)
+lin_constituents = linear_sylow
 
 
 def count_lin(la, p):

@@ -38,8 +38,8 @@ def test_twisted_tensor_power_split_is_orbit_convolution():
     [
         lambda la, mu, d: d + 1,
         # keeps every per-label split integral and nonnegative, so only the
-        # check on each constant tuple, here (4)^2, catches it: in _stage_a
-        # on the full path and in _linear_fold on the linear one
+        # check on each constant tuple, here (4)^2, catches it: in the
+        # twisted fold, on the full path and on the linear one
         lambda la, mu, d: d + 2 if (la, mu) == ((6, 2), (4,)) else d,
     ],
     ids=["every-pairing", "one-pairing"],
@@ -83,8 +83,9 @@ def test_restrict_tower_dimension_conservation():
 
 
 def test_linear_tower_is_the_linear_slice():
-    # linear_tower folds its twisted part without Stage A's tuples, so this
-    # is the cross-check between the two paths
+    # both paths share the twisted fold, so this checks the projection: the
+    # degree-1 labels of a full vector come only from the degree-1 labels
+    # one level down
     every = ((2, 3), (3, 2), (2, 4), (5, 1), (7, 1))
     cases = [(la, p, k) for p, k in every for la in partitions(p**k)]
     cases += [((32 - b, b) if b else (32,), 2, 5) for b in range(7)]
@@ -151,11 +152,12 @@ def test_lin_constituents_composite_oracle_confirmed():
 def test_stage_a_matches_plethysm_split_at_two():
     # constant-block weights at p=2 are exactly the symmetric/alternating split
     for la in partitions(8):
-        for mus, (c, d) in engine._stage_a(la, 2, 3).items():
+        for mus, c in engine._stage_a(la, 2, 3).items():
             if mus[0] != mus[1]:
-                assert d == 0
+                assert mus[0] < mus[1]
                 continue
             a2, a11 = plethysm_split(la, mus[0])
+            d = characters.stretch_coefficient(la, mus[0], 2)
             assert cyclic_split(2, c, d) == (a2, a11)
             assert c == a2 + a11
 
@@ -225,23 +227,32 @@ def test_conjugation_twist_symmetry():
 
 
 @st.composite
-def prime_and_shape(draw):
-    """p = 2 with a shape of n <= 24, or p = 3 with a shape of n <= 15."""
-    p, n_max = draw(st.sampled_from(((2, 24), (3, 15))))
+def prime_and_shape(draw, ranges):
+    """A prime p and a shape of n <= n_max, the pair (p, n_max) drawn from ranges."""
+    p, n_max = draw(st.sampled_from(ranges))
     n = draw(st.integers(1, n_max))
     return p, draw(st.sampled_from(partitions(n)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(prime_and_shape())
+@given(prime_and_shape(((2, 24), (3, 15))))
 def test_conjugation_twist_on_drawn_shapes(case):
     # sgn restricts to the per-factor sign twist at p = 2 and to the trivial
     # character of the odd-order P_n at p = 3
     p, la = case
-    lc = engine.lin_constituents(la, p)
+    lc = engine.linear_sylow(la, p)
     if p == 2:
         lc = _sgn_twisted(lc, sylow_shape(sum(la), p))
-    assert engine.lin_constituents(conjugate(la), p) == lc
+    assert engine.linear_sylow(conjugate(la), p) == lc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(prime_and_shape(((3, 18), (5, 15))))
+def test_conjugation_fixes_the_full_restriction_at_odd_p(case):
+    # P_n has odd order, so sgn restricts to its trivial character and
+    # chi^la' = chi^la sgn restricts as chi^la does, label by label
+    p, la = case
+    assert engine.restrict_sylow(conjugate(la), p) == engine.restrict_sylow(la, p)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -298,15 +309,37 @@ def test_cache_rejects_label_of_wrong_height(tmp_path):
 
 
 def _naive_tower(la, p, k):
-    """restrict_tower from the _stage_b blocks, scattering every product tuple through tw.orbit."""
-    acc, blocks = engine._stage_b(la, p, k)
-    acc = defaultdict(int, acc)
+    """restrict_tower from _stage_a's tuples, tuple by tuple.
+
+    The twisted part is summed per tuple, as one C_p character per label
+    split by cyclic_split, with the constant tuples' pairings from
+    stretch_coefficient; every other product tuple is scattered through
+    tw.orbit.
+    """
+    deg = defaultdict(int)
+    val = defaultdict(int)
     tuples = defaultdict(int)
-    for c, parts, constant in blocks:
+    for mus, c in engine._stage_a(la, p, k).items():
+        parts = [engine.restrict_tower(mu, p, k - 1) for mu in mus]
+        constant = len(set(mus)) == 1
+        if constant:
+            d = characters.stretch_coefficient(la, mus[0], p)
+            for lab, m in parts[0].items():
+                val[lab] += d * m
         for combo in product(*(part.items() for part in parts)):
             labs = tuple(lab for lab, _ in combo)
+            w = c * math.prod(m for _, m in combo)
             if len(set(labs)) > 1:
-                tuples[labs, constant] += c * math.prod(m for _, m in combo)
+                tuples[labs, constant] += w
+            else:
+                # the regular character of a non-constant orbit, or a
+                # constant tuple's tensor power
+                deg[labs[0]] += w if constant else p * w
+    acc = defaultdict(int)
+    for lab, n in deg.items():
+        for t, w in enumerate(cyclic_split(p, n, val[lab])):
+            if w:
+                acc[tw.twist(lab, t)] += w
     for (labs, constant), m in tuples.items():
         orb = tw.orbit(labs)
         # a constant block meets each orbit at all p rotations; count it at one
@@ -317,7 +350,8 @@ def _naive_tower(la, p, k):
 
 def test_restrict_tower_matches_naive_orbit_scatter():
     # the reference builds every orbit label with tw.orbit, so equality also
-    # shows that each induced label is its text-least rotation
+    # shows that each induced label is its text-least rotation, and it sums
+    # the twisted part per tuple, not by the shared fold
     for p, k_max in ((2, 4), (3, 2), (5, 1)):
         for k in range(1, k_max + 1):
             for la in partitions(p**k):
