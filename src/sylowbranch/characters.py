@@ -127,6 +127,11 @@ def subshapes(la, size):
     return tuple(out)
 
 
+# partition -> itself: split_pairs keys its tables with these tuples, so
+# equal partitions share one object across every table
+_shapes = {}
+
+
 @cache
 def split_pairs(la, m):
     """Restriction of la to S_m x S_{n-m}: dict (mu, nu) -> c^la_{mu,nu}.
@@ -144,6 +149,9 @@ def split_pairs(la, m):
     vals[right[pos]], where vals[n] = 0 stands for no cell above and
     vals[n + 1 + r] = r + 1 caps row r; the sentinel counts[0] lets every 1
     pass the ballot test.
+
+    Both shapes of a key are interned in _shapes, so the tables share one
+    tuple per partition rather than a copy per key.
     """
     n = sum(la)
     if not 0 <= m <= n:
@@ -172,6 +180,7 @@ def split_pairs(la, m):
                 counts[v] -= 1
 
     for inner in subshapes(la, small):
+        inner = _shapes.setdefault(inner, inner)
         skew = [
             pos
             for r in range(rows)
@@ -181,6 +190,7 @@ def split_pairs(la, m):
         buckets = defaultdict(int)
         fill(0)
         for content, cnt in buckets.items():
+            content = _shapes.setdefault(content, content)
             table[(inner, content) if small == m else (content, inner)] = cnt
     del fill  # a reference cycle: without it the grid waits for the collector
     return table

@@ -49,6 +49,15 @@ A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
 checks run on.  It is the twisted part alone, the same fold over the
 linear vectors one level down, and it never goes through Stage A.
+
+For a general n the Sylow subgroup is the product of the towers given by
+the base-p digits of n.  restrict_sylow and linear_sylow take the product
+by one recursion over those factors, _sylow_product: peel the top factor
+with one split_pairs, then multiply by the remaining shapes' products.
+linear_sylow memoises every such product on (p, la) in _lin_sylow_memo,
+so the sweeps that ask for one shape's linear constituents again read
+them; like every memoised vector here, its dicts are read-only.
+restrict_sylow keeps its products for one call only.
 """
 
 import os
@@ -62,6 +71,7 @@ from .partitions import check_partition, check_prime, sylow_shape
 
 _full_memo = {}
 _lin_memo = {}
+_lin_sylow_memo = {}
 
 
 def _stage_a(la, p, k):
@@ -249,26 +259,59 @@ def _twisted_part(tower, la, p, k):
     ]
 
 
-def _sylow_product(tower, la, p):
-    """The Young-subgroup factor product over the Sylow factors of S_|la|."""
-    la = check_partition(la)
-    heights = sylow_shape(sum(la), p)
-    sizes = tuple(p**h for h in heights)
-    return ch.young_decompose(la, sizes, lambda mu, i: tower(mu, p, heights[i]))
+def _sylow_product(tower, la, p, heights, memo):
+    """The Young-subgroup factor product of la over Sylow factors of these heights.
+
+    A recursion over the factors, as deep as there are factors: the top
+    one, of size p^top, is peeled by one split_pairs(la, p^top), the
+    vectors c * tower(mu) are summed into one tail per remaining shape nu,
+    and each tail is multiplied by nu's product over the other factors,
+    which are heights[:-1] = sylow_shape(|nu|, p).  memo maps (p, la) to
+    its read-only product and is read and filled at every level.
+    """
+    vec = memo.get((p, la))
+    if vec is not None:
+        return vec
+    if len(heights) < 2:
+        vec = {(lab,): m for lab, m in tower(la, p, heights[0]).items()} if heights else {(): 1}
+    else:
+        top = heights[-1]
+        tails = defaultdict(lambda: defaultdict(int))
+        for (mu, nu), c in ch.split_pairs(la, p**top).items():
+            tail = tails[nu]
+            for lab, x in tower(mu, p, top).items():
+                tail[lab] += c * x
+        out = defaultdict(int)
+        for nu, tail in tails.items():
+            for key, a in _sylow_product(tower, nu, p, heights[:-1], memo).items():
+                for lab, b in tail.items():
+                    out[key + (lab,)] += a * b
+        vec = dict(out)
+    memo[p, la] = vec
+    return vec
 
 
 def restrict_sylow(la, p):
     """Decomposition of la over the full Sylow p-subgroup of S_|la|.
 
     Labels are tuples of per-factor tower labels, factors in ascending
-    tower-height order.
+    tower-height order.  Returns a new dict.  The products of the remaining
+    shapes are kept for this call only: a lasting memo would answer a
+    repeat without reading _full_memo, whose growth is how the CLI decides
+    to rewrite its cache file.
     """
-    return _sylow_product(restrict_tower, la, p)
+    la = check_partition(la)
+    return _sylow_product(restrict_tower, la, p, sylow_shape(sum(la), p), {})
 
 
 def linear_sylow(la, p):
-    """Linear constituents over the full Sylow subgroup: digit tuples -> mult > 0."""
-    return _sylow_product(linear_tower, la, p)
+    """Linear constituents over the full Sylow subgroup: digit tuples -> mult > 0.
+
+    Returns a read-only dict, memoized with the products of every remaining
+    shape on (p, la) in _lin_sylow_memo.
+    """
+    la = check_partition(la)
+    return _sylow_product(linear_tower, la, p, sylow_shape(sum(la), p), _lin_sylow_memo)
 
 
 def sbc(la, p, psi):

@@ -1,10 +1,12 @@
 """Named verification sweeps, one per acceptance criterion.
 
-Every suite recomputes its claim from scratch with exact integer arithmetic
-and returns a Result(name, ok, detail); nothing is sampled without a fixed
-default seed.  `run` executes suites by name and prints one PASS/FAIL line
-per suite, which is the format the acceptance tests and the CLI both rely
-on.
+Every suite checks its claim with exact integer arithmetic and returns a
+Result(name, ok, detail); nothing is sampled without a fixed default seed.
+The suites share the engine's memoised vectors, the linear Sylow products
+among them, so a shape one suite has computed is read by the next, and
+suite times depend on the order the suites run in.  `run` executes suites
+by name and prints one PASS/FAIL line per suite, which is the format the
+acceptance tests and the CLI both rely on.
 
 Suite names describe what is checked.  The historical aliases accepted by
 the CLI (`thm11`, `thm12`, `thm13`) map onto classify-two, classify-odd and

@@ -167,11 +167,15 @@ def test_split_pairs_orientation():
 
 
 def test_split_pairs_symmetries_to_twelve():
-    # every table of n <= 12: swap and conjugation symmetry and the degree identity
+    # every table of n <= 12: swap and conjugation symmetry and the degree
+    # identity, and one tuple object per shape across all the tables
+    shapes = {}
     for n in range(13):
         for la in partitions(n):
             for m in range(n + 1):
                 pairs = split_pairs(la, m)
+                for key in pairs:
+                    assert all(shapes.setdefault(mu, mu) is mu for mu in key), (la, m, key)
                 swapped = split_pairs(la, n - m)
                 assert pairs == {(mu, nu): c for (nu, mu), c in swapped.items()}, (la, m)
                 conj = {(conjugate(mu), conjugate(nu)): c for (mu, nu), c in pairs.items()}

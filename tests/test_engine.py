@@ -54,6 +54,12 @@ def test_stage_a_checks_each_constant_split(monkeypatch, broken):
         monkeypatch.setattr(engine, "_lin_memo", {})
         with pytest.raises(ArithmeticError, match="cyclic split"):
             tower((6, 2), 2, 3)
+    # the Sylow product of (6,2,1) peels (6,2) as its top factor, and its memo
+    # holds nothing that skips the tower
+    monkeypatch.setattr(engine, "_lin_memo", {})
+    monkeypatch.setattr(engine, "_lin_sylow_memo", {})
+    with pytest.raises(ArithmeticError, match="cyclic split"):
+        engine.linear_sylow((6, 2, 1), 2)
 
 
 def test_restrict_tower_trivial_levels():
@@ -253,6 +259,27 @@ def test_conjugation_fixes_the_full_restriction_at_odd_p(case):
     # chi^la' = chi^la sgn restricts as chi^la does, label by label
     p, la = case
     assert engine.restrict_sylow(conjugate(la), p) == engine.restrict_sylow(la, p)
+
+
+def test_sylow_product_matches_the_young_fold(monkeypatch):
+    # the reference folds every factor at once with young_decompose; the
+    # engine peels the top factor and recurses on the remaining shapes
+    for memo in ("_full_memo", "_lin_memo", "_lin_sylow_memo"):
+        monkeypatch.setattr(engine, memo, {})
+    lin, full = (engine.linear_sylow, engine.linear_tower), (engine.restrict_sylow, engine.restrict_tower)
+    ranges = [lin + (2, 17), lin + (3, 14), lin + (5, 12), full + (2, 15), full + (3, 11)]
+    checked = 0
+    for sylow, tower, p, n_max in ranges:
+        for n in range(n_max + 1):
+            heights = sylow_shape(n, p)
+            if len(heights) < 2:
+                continue
+            sizes = [p**h for h in heights]
+            for la in partitions(n):
+                want = characters.young_decompose(la, sizes, lambda mu, i: tower(mu, p, heights[i]))
+                assert sylow(la, p) == want, (p, la)
+                checked += 1
+    assert checked == 2499
 
 
 def test_cache_roundtrip(tmp_path):
