@@ -340,37 +340,54 @@ CACHE_VERSION = 1
 CACHE_MAX_SIZE = 2**12
 
 
+def _json_list(items, depth):
+    """A JSON list in json.dump's indent=1 layout, from its items' encoded texts.
+
+    depth is the indent of the items; the closing bracket is one space less.
+    """
+    pad = "\n" + " " * depth
+    items = [pad + item for item in items]
+    return f"[{','.join(items)}{pad[:-1]}]" if items else "[]"
+
+
 def save_cache(path):
-    """Persist the full-vector memo as versioned JSON; a failed write keeps the old file."""
+    """Persist the full-vector memo as versioned JSON; a failed write keeps the old file.
+
+    The file holds the bytes of json.dump(payload, fh, indent=1) and a
+    newline, but the indented layout is built directly, because the json
+    module encodes an indented dump in pure Python.  Each string field is
+    quoted by json.dumps, and each distinct label's text is built and quoted
+    once per call.
+    """
     import json
 
+    texts = {}  # label -> (text, quoted text), for this call only
     entries = []
     for (p, k, la), vec in sorted(_full_memo.items()):
+        rows = []
+        for lab, m in vec.items():
+            text = texts.get(lab)
+            if text is None:
+                plain = tw.label_text(lab)
+                text = texts[lab] = (plain, json.dumps(plain))
+            rows.append((tw.label_degree(p, lab), text, m))
+        rows.sort()
+        vector = _json_list([f"[\n     {quoted},\n     {m}\n    ]" for _, (_, quoted), m in rows], 4)
         entries.append(
-            {
-                "p": p,
-                "k": k,
-                "lambda": ",".join(map(str, la)),
-                "vector": [
-                    [text, m]
-                    for _, text, m in sorted(
-                        (tw.label_degree(p, lab), tw.label_text(lab), m) for lab, m in vec.items()
-                    )
-                ],
-            }
+            f'{{\n   "p": {p},\n   "k": {k},\n   "lambda": {json.dumps(",".join(map(str, la)))},\n'
+            f'   "vector": {vector}\n  }}'
         )
-    payload = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "primes": sorted({p for p, _, _ in _full_memo}),
-        "max_k": max((k for _, k, _ in _full_memo), default=0),
-        "entries": entries,
-    }
+    primes = sorted({p for p, _, _ in _full_memo})
+    max_k = max((k for _, k, _ in _full_memo), default=0)
+    doc = (
+        f'{{\n "format": {json.dumps(CACHE_FORMAT)},\n "version": {CACHE_VERSION},\n'
+        f' "primes": {_json_list(map(str, primes), 2)},\n "max_k": {max_k},\n'
+        f' "entries": {_json_list(entries, 2)}\n}}\n'
+    )
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(doc)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -189,48 +189,46 @@ def label_text(label):
 
 @cache
 def parse_label(text):
-    """Inverse of label_text."""
-    text = text.strip()
-    pos = 0
+    """Inverse of label_text, parsing each distinct sub-label text once.
 
-    def digit():
-        nonlocal pos
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise ValueError(f"bad label text {text!r} at position {pos}")
-        return int(text[start:pos])
-
-    def atom():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "e":
-            pos += 1
+    Surrounding whitespace is ignored and any other whitespace is junk.  The
+    text is split at its top level: a trailing ".digits" at bracket depth 0
+    twists the label before it, and the commas at depth 1 of a "[...]"
+    separate an orbit's entries, which orbit() canonicalises.  Each piece is
+    parsed through this cached function, so a sub-label shared by many
+    texts is parsed once.  Junk raises ValueError naming the whole text.
+    """
+    try:
+        (body,) = text.split()
+        if body == "e":
             return LEAF
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
-            subs = [chain()]
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                subs.append(chain())
-            if pos >= len(text) or text[pos] != "]":
-                raise ValueError(f"unclosed orbit bracket in {text!r}")
-            pos += 1
-            return orbit(subs)
-        return twist(LEAF, digit())
-
-    def chain():
-        nonlocal pos
-        label = atom()
-        while pos < len(text) and text[pos] == ".":
-            pos += 1
-            label = twist(label, digit())
-        return label
-
-    label = chain()
-    if pos != len(text):
-        raise ValueError(f"trailing junk in label text {text!r}")
-    return label
+        if body[0] == "[" and body[-1] == "]":
+            pieces = []
+            depth = start = 0
+            for i, c in enumerate(body):
+                if c == "[":
+                    depth += 1
+                elif c == "]":
+                    depth -= 1
+                    # the first bracket must close at the end
+                    if not depth and i != len(body) - 1:
+                        raise ValueError
+                elif c == "," and depth == 1:
+                    pieces.append(body[start + 1 : i])
+                    start = i
+            if depth:
+                raise ValueError
+            pieces.append(body[start + 1 : -1])
+            return orbit(parse_label(piece) for piece in pieces)
+        # any other label is a digit string after its last dot at depth 0, if
+        # it has one: a dot inside brackets would leave a "]" after it
+        dot = body.rfind(".")
+        digits = body[dot + 1 :]
+        if not digits.isdigit():
+            raise ValueError
+        return twist(parse_label(body[:dot]) if dot >= 0 else LEAF, int(digits))
+    except ValueError:
+        raise ValueError(f"bad label text {text!r}") from None
 
 
 def hook_to_linear(k, y):

@@ -5,10 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sylowbranch import engine
+from sylowbranch import cli, engine
 from sylowbranch import tower as tw
 from sylowbranch.cli import main
+from sylowbranch.partitions import sylow_shape
 
 
 def run_cli(*args, env=None, timeout=120):
@@ -237,14 +240,17 @@ def _corrupt_label_doc(text):
 
 def test_cache_corrupt_label_rejected(tmp_path):
     cache = tmp_path / "vec.json"
-    for text in ("0.0.5", "5"):
+    # ".0" would pass every later check if read as "0"; "[0, 1]" has inner
+    # whitespace, which splitting at the commas and stripping would accept
+    for text in ("0.0.5", "5", ".0", "[0, 1]"):
         doc = _corrupt_label_doc(text)
         cache.write_text(json.dumps(doc))
+        before = cache.read_bytes()
         r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache))
         assert r.returncode == 2, (text, r.stdout)
         assert "corrupt cache entry" in r.stderr
         assert r.stdout == ""
-        assert json.loads(cache.read_text()) == doc
+        assert cache.read_bytes() == before
 
 
 def test_cache_malformed_document_rejected(tmp_path, monkeypatch):
@@ -384,6 +390,22 @@ def test_dotted_linear_labels(capsys):
         assert capsys.readouterr().out == out, args
 
 
+@st.composite
+def linear_label_case(draw):
+    """(p, factor heights of S_n, a linear label drawn over those factors)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    heights = sylow_shape(draw(st.integers(1, 3 * p**3)), p)
+    psi = tuple(tuple(draw(st.lists(st.integers(0, p - 1), min_size=h, max_size=h))) for h in heights)
+    return p, heights, psi
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(linear_label_case())
+def test_linear_label_text_round_trip(case):
+    p, heights, psi = case
+    assert cli._parse_linear(cli._linear_text(psi), p, heights) == psi
+
+
 def test_dotted_linear_label_errors(capsys):
     # a digit >= p, orbit text and a wrong number of factors
     for p, la, text in (
@@ -418,13 +440,26 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, monkeypatch):
     cache.write_text(json.dumps(_corrupt_label_doc("0")))
     before = cache.read_bytes()
 
-    def partial_dump(obj, fh, **kwargs):
-        fh.write('{"format": "sylowbranch-restr')
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    written = []
+
+    def full_disk_open(path, mode="r", **kwargs):
+        # a file opened for writing takes a prefix of the text, then the disk is full
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            written.append(os.path.basename(path))
+            write = fh.write
+
+            def partial_write(text):
+                write(text[:20])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = partial_write
+        return fh
 
     # an empty memo, so that the new shape grows it and the file is written
     monkeypatch.setattr(engine, "_full_memo", {})
-    monkeypatch.setattr(json, "dump", partial_dump)
+    monkeypatch.setattr(engine, "open", full_disk_open, raising=False)
     assert main(["restrict", "--p", "2", "--lambda", "3,1", "--cache", str(cache)]) == 2
     assert cache.read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["vec.json"]
+    assert written == ["vec.json.tmp"]

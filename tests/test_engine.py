@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from collections import defaultdict
 from itertools import product
@@ -297,6 +298,53 @@ def test_cache_roundtrip(tmp_path):
     assert loaded == len(payload["entries"])
     for key, vec in saved.items():
         assert engine._full_memo[key] == vec
+
+
+def _json_dump_reference(memo):
+    """The cache document as json.dump(payload, fh, indent=1) writes it, and a newline."""
+    entries = [
+        {
+            "p": p,
+            "k": k,
+            "lambda": ",".join(map(str, la)),
+            "vector": [
+                [text, m]
+                for _, text, m in sorted(
+                    (tw.label_degree(p, lab), tw.label_text(lab), m) for lab, m in vec.items()
+                )
+            ],
+        }
+        for (p, k, la), vec in sorted(memo.items())
+    ]
+    payload = {
+        "format": engine.CACHE_FORMAT,
+        "version": engine.CACHE_VERSION,
+        "primes": sorted({p for p, _, _ in memo}),
+        "max_k": max((k for _, k, _ in memo), default=0),
+        "entries": entries,
+    }
+    return (json.dumps(payload, indent=1) + "\n").encode("utf-8")
+
+
+def test_save_cache_writes_the_bytes_of_an_indented_json_dump(tmp_path, monkeypatch):
+    memos = {}
+    for name, p, shapes in (
+        ("p=2", 2, [*partitions(8), (24, 8)]),
+        ("p=3", 3, partitions(9)),
+        ("p=5", 5, [*partitions(5), (20, 5)]),
+    ):
+        monkeypatch.setattr(engine, "_full_memo", {})
+        for la in shapes:
+            engine.restrict_sylow(la, p)
+        memos[name] = engine._full_memo
+    memos["all primes"] = {key: vec for memo in list(memos.values()) for key, vec in memo.items()}
+    memos["empty"] = {}
+    path = tmp_path / "cache.json"
+    for name, memo in memos.items():
+        monkeypatch.setattr(engine, "_full_memo", memo)
+        engine.save_cache(path)
+        assert path.read_bytes() == _json_dump_reference(memo), name
+    assert sorted(os.listdir(tmp_path)) == ["cache.json"]
 
 
 def test_cache_rejects_stale_version(tmp_path):

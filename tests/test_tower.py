@@ -154,10 +154,83 @@ def test_any_rotation_of_an_orbit_text_parses_to_the_canonical_label(case, shift
     assert tw.parse_label("[" + ",".join(texts[i:] + texts[:i]) + "]") == lab
 
 
+def _descent_parse_label(text):
+    """The recursive-descent parser that tw.parse_label replaced, as a reference."""
+    text = text.strip()
+    pos = 0
+
+    def digit():
+        nonlocal pos
+        start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == start:
+            raise ValueError(f"bad label text {text!r} at position {pos}")
+        return int(text[start:pos])
+
+    def atom():
+        nonlocal pos
+        if pos < len(text) and text[pos] == "e":
+            pos += 1
+            return tw.LEAF
+        if pos < len(text) and text[pos] == "[":
+            pos += 1
+            subs = [chain()]
+            while pos < len(text) and text[pos] == ",":
+                pos += 1
+                subs.append(chain())
+            if pos >= len(text) or text[pos] != "]":
+                raise ValueError(f"unclosed orbit bracket in {text!r}")
+            pos += 1
+            return tw.orbit(subs)
+        return tw.twist(tw.LEAF, digit())
+
+    def chain():
+        nonlocal pos
+        label = atom()
+        while pos < len(text) and text[pos] == ".":
+            pos += 1
+            label = tw.twist(label, digit())
+        return label
+
+    label = chain()
+    if pos != len(text):
+        raise ValueError(f"trailing junk in label text {text!r}")
+    return label
+
+
+JUNK_LABEL_TEXTS = (
+    # "[0, 1]" has inner whitespace, which splitting then stripping would accept
+    "[0, 1]", "[0,1]]", "0..1", ".0", "]", "[]", "1.e", "0 1", "[e]extra",
+    "", " ", "0.", "[0,1", "[[0,1]", "x", "ee", "e.e", "[0][1]", "[0]", "[0,1,]",
+    "[,0]", "[0,1]x.1", "[0,1] .1", "0. 1", "[0,1].", "0.1e", "²",
+)
+
+
 def test_parse_label_rejects_junk():
-    for bad in ("", "0.", "[0,1", "0 1", "x", "[e]extra"):
+    for bad in JUNK_LABEL_TEXTS:
         with pytest.raises(ValueError):
             tw.parse_label(bad)
+
+
+def test_parse_label_agrees_with_recursive_descent():
+    # the top-level split against the old character-by-character parser, on
+    # fresh caches: every label text of these towers, every rotation text of
+    # an orbit label, the same texts padded with whitespace, and junk
+    tw.parse_label.cache_clear()
+    texts = []
+    for p, kmax in ((2, 4), (3, 2), (5, 1)):
+        for k in range(kmax + 1):
+            for lab in tw.irr_labels(p, k):
+                texts.append(tw.label_text(lab))
+                if tw.is_orbit(lab):
+                    subs = [tw.label_text(sub) for sub in lab[1:]]
+                    texts += ["[" + ",".join(subs[i:] + subs[:i]) + "]" for i in range(1, p)]
+    for text in texts + [f" {text}\t" for text in texts[::7]]:
+        assert tw.parse_label(text) == _descent_parse_label(text), text
+    for bad in JUNK_LABEL_TEXTS:
+        with pytest.raises(ValueError):
+            _descent_parse_label(bad)
 
 
 def test_hook_bijection_roundtrip():
