@@ -9,23 +9,25 @@ a^la_{(2),mu} / a^la_{(1,1),mu} from the identity
 
     s_mu * s_mu = (s_(2) o s_mu) + (s_(1,1) o s_mu)
 
-combined with the stretched pairing at p = 2.  So the engine's Stage A
-reduces to fillings and abaci; character values serve the classification
-and the oracles.
+combined with the stretched pairing at p = 2.  So the engine's tower
+levels reduce to fillings and abaci; character values serve the
+classification and the oracles.
 
 cyclic_split is the one place a character of C_p is split over the p
 linear characters: the plethysm split, the engine's check of each
 constant tuple and its per-label split, and the cyclic case of the
 odd-prime classification all call it.
 
-split_pairs, the memoized restriction to S_m x S_{n-m}, is the only code
-that enumerates fillings: it builds la's cell grid once and walks each
-inner shape's skew cells on it, one recursion level per cell over flat
-index arrays; lr_coefficient reads one of its entries.  young_decompose
-folds it over any number of blocks, peeling the last block first and
-merging partial results by remaining shape; lr_multi reads one entry of
-the fold, keeping only the wanted constituent of each block.  split_pairs
-is memoized, so callers must treat its dicts as read-only.
+split_walk, the restriction to S_m x S_{n-m}, is the only code that
+enumerates fillings: it builds la's cell grid once and walks each inner
+shape's skew cells on it, one recursion level per cell over flat index
+arrays.  split_pairs is the same walk memoized, so callers must treat its
+dicts as read-only; a table read only once (the engine's first peel of a
+tower level) is walked without the cache, and lr_coefficient walks only
+the inner shape it needs.  young_decompose folds split_pairs over any
+number of blocks, peeling the last block first and merging partial
+results by remaining shape; lr_multi reads one entry of the fold, keeping
+only the wanted constituent of each block.
 """
 
 from collections import Counter, defaultdict
@@ -97,11 +99,25 @@ def character_value(la, ct):
 
 
 def lr_coefficient(la, mu, nu):
-    """Littlewood-Richardson coefficient c^la_{mu,nu}."""
-    la, mu, nu = tuple(la), tuple(mu), tuple(nu)
+    """Littlewood-Richardson coefficient c^la_{mu,nu}.
+
+    Memoized per coefficient: it walks la's fillings for the one inner
+    shape, mu or nu, on the smaller side, so it never builds the whole
+    split_pairs table.
+    """
+    return _lr(tuple(la), tuple(mu), tuple(nu))
+
+
+@cache
+def _lr(la, mu, nu):
     if sum(mu) + sum(nu) != sum(la):
         raise ValueError("sizes must satisfy |mu| + |nu| = |la|")
-    return split_pairs(la, sum(mu)).get((mu, nu), 0)
+    inner = mu if sum(mu) <= sum(nu) else nu
+    # the walk needs a partition inside la, as subshapes gives them
+    bounds = zip(la[:1] + inner, inner, la)
+    if len(inner) > len(la) or not all(0 < x <= min(prev, top) for prev, x, top in bounds):
+        return 0
+    return split_walk(la, sum(mu), inner).get((mu, nu), 0)
 
 
 def subshapes(la, size):
@@ -127,14 +143,16 @@ def subshapes(la, size):
     return tuple(out)
 
 
-# partition -> itself: split_pairs keys its tables with these tuples, so
+# partition -> itself: split_walk keys its tables with these tuples, so
 # equal partitions share one object across every table
 _shapes = {}
 
 
-@cache
-def split_pairs(la, m):
+def split_walk(la, m, inner=None):
     """Restriction of la to S_m x S_{n-m}: dict (mu, nu) -> c^la_{mu,nu}.
+
+    Given inner, a partition of min(m, n - m) inside la, only the keys with
+    that shape on the smaller side are walked.
 
     Enumerates sub-shapes mu on the smaller side and buckets the lattice
     skew fillings of la/mu by content nu, so the work is the same whichever
@@ -179,7 +197,7 @@ def split_pairs(la, m):
                 fill(i + 1)
                 counts[v] -= 1
 
-    for inner in subshapes(la, small):
+    for inner in subshapes(la, small) if inner is None else (inner,):
         inner = _shapes.setdefault(inner, inner)
         skew = [
             pos
@@ -194,6 +212,9 @@ def split_pairs(la, m):
             table[(inner, content) if small == m else (content, inner)] = cnt
     del fill  # a reference cycle: without it the grid waits for the collector
     return table
+
+
+split_pairs = cache(split_walk)
 
 
 def young_decompose(la, sizes, factor=None):

@@ -4,51 +4,46 @@ The computation follows the subgroup chain
 
     S_{p^k}  >  W = S_{p^{k-1}} wr C_p  >  P = P_{p^{k-1}} wr C_p
 
-one tower level at a time.  Both splits over the p twists below are
-characters.cyclic_split: a character of C_p with degree c and value d on
-a generator contains the trivial character (c + (p-1) d)/p times and each
-other linear character (c - d)/p times.
+one tower level at a time, by one fold, _level, over the p blocks of size
+p^{k-1}.  Like characters.young_decompose it peels the last block first
+and merges partial results by remaining shape, and each block multiplies
+in the factor vectors R_mu one level down, so a p-tuple of labels
+(l_1..l_p) ends with the weight sum_mu c^la_{mu_1..mu_p} prod_i m_{mu_i}(l_i).
+c^la_{mu_1..mu_p} does not change when the mu's are rotated, so neither
+does the weight.
 
-Stage A decomposes over W into p-tuples (mu_1..mu_p) of partitions of
-p^{k-1}, each kept as its least rotation with c = c^la_{mu_1..mu_p} (the
-Young fold holds every rotation).
+A non-constant label tuple is induced from the base group, and by Mackey's
+theorem with a single double coset its orbit label, the least rotation in
+label_text order (the one tw.orbit picks), has the weight as multiplicity.
+The fold keeps one rotation of each: the labels are ranked by label_text
+after the first peel, a tuple grows only by entries that rank at least its
+first-filled (last) one, and at the end it is kept if, rotated right by
+one, it is its least rotation.
 
-Stage B restricts each W-constituent to P via the recursively known
-vectors R_mu of the factors.  Its twisted part is one character of C_p per
-label l met in every factor of a tuple: a non-constant orbit adds the
-regular character (p c prod_i m_i(l), 0), a constant tuple mu^p the
-twisted tensor power (c m^p, D m), and each label is split once by
-cyclic_split.  D is the stretched pairing <s_mu[p_p], s_la>, from
-Littlewood's p-quotient rule (characters.stretch_coefficient), not from a
-sum over cycle types, and each constant tuple's own split
-cyclic_split(p, c, D) over the p twists is asserted.  (For p = 2 this is
-the classical symmetric/alternating square split; for odd p it is the
-same Frobenius computation carried out over C_p, where only the
-Galois-invariant aggregate enters, so no choice of primitive root is
-made.  The odd-p stage is a derived extension validated against the
-brute-force oracle.)  One fold, _twisted_part, computes this part for
-both towers: it runs over the p blocks by remaining shape, summing label
-products over all ordered tuples, so it never builds Stage A's p-tuples;
-only the constant tuples mu^p are followed, for their pairing D.
-
-On the full path (restrict_tower) the induced constituents restrict by
-Mackey's theorem with a single double coset, scattering products of
-factor multiplicities over orbit labels.  The scatter ranks the factor
-labels once by label_text, so an orbit label's least rotation is taken on
-int tuples and equals the one tw.orbit picks.  It is bilinear in the
-factor vectors: classes sharing their first p - 1 factors are contracted
-into one vector for the last factor, products are summed on raw rank
-tuples, and each distinct tuple is rotated once.  A constant block visits
-only the (m^p - m)/p Lyndon words over its m labels, which for prime p are
-the least rotations of its non-constant necklaces.
+A constant tuple (l, ..., l) is one character of C_p per label: its weight
+is the degree, and its value on a generator is the sum over the constant
+tuples mu^p of D m_mu(l), D the stretched pairing <s_mu[p_p], s_la> from
+Littlewood's p-quotient rule (characters.stretch_coefficient).  The fold
+carries the constant chains beside the labels, so each mu^p ends with
+c = c^la_{mu^p}, and its own split cyclic_split(p, c, D) over the p twists
+is asserted; each label is then split once by cyclic_split.  A character
+of C_p with degree c and value d on a generator contains the trivial
+character (c + (p-1) d)/p times and each other linear character
+(c - d)/p times.  (For p = 2 this is the classical symmetric/alternating
+square split; for odd p it is the same Frobenius computation carried out
+over C_p, where only the Galois-invariant aggregate enters, so no choice
+of primitive root is made.  The odd-p stage is a derived extension
+validated against the brute-force oracle.)
 
 Every divisibility is asserted and every full vector is checked against
 dimension conservation; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
-checks run on.  It is the twisted part alone, the same fold over the
-linear vectors one level down, and it never goes through Stage A.
+checks run on.  Only constant tuples of linear labels give a linear label
+one level up, so the slice runs the same fold over the linear vectors one
+level down keeping only those, one label -> weight dict per remaining
+shape, with no ranks.
 
 For a general n the Sylow subgroup is the product of the towers given by
 the base-p digits of n.  restrict_sylow and linear_sylow take the product
@@ -61,9 +56,8 @@ restrict_sylow keeps its products for one call only.
 """
 
 import os
+from bisect import bisect_left
 from collections import defaultdict
-from itertools import product
-from math import prod
 
 from . import characters as ch
 from . import tower as tw
@@ -77,8 +71,9 @@ _lin_sylow_memo = {}
 def _stage_a(la, p, k):
     """Decomposition over W: least-rotation p-tuple of partitions -> c^la_{mu_1..mu_p}.
 
-    The Young fold holds every rotation with the same coefficient, so
-    rotations are built only if mus[0] is least.
+    Not on the engine's path: it is the per-tuple reference that the tests
+    compare _level against.  The Young fold holds every rotation with the
+    same coefficient, so rotations are built only if mus[0] is least.
     """
     m = p ** (k - 1)
     return {
@@ -95,61 +90,98 @@ def _check_size(la, p, k):
     return la
 
 
-def _stage_b(la, p, k):
-    """Stage B of restrict_tower up to the induced labels.
+def _level(la, p, k, full):
+    """One tower level of la: restrict_tower's vector if full, else linear_tower's.
 
-    Returns (acc, blocks): acc is the twisted part from _twisted_part, keyed
-    by twisted labels, and blocks lists (c, factor vectors, constant) for
-    _orbit_scatter.
+    The states map a remaining shape to (key -> weight, mu -> c of its
+    constant chain).  On the full path a key is a tuple of label ranks,
+    filled from the last block; on the linear path it is a label, kept only
+    while every block has it (the diagonal).  Ranking the labels after the
+    first peel, the step that extends a key and turning the keys back into
+    labels are the only places where the two paths differ.
     """
-    acc = {tw.twist(lab, t): w for lab, t, w in _twisted_part(restrict_tower, la, p, k)}
-    blocks = []
-    for mus, c in _stage_a(la, p, k).items():
-        if len(set(mus)) == 1:
-            blocks.append((c, [restrict_tower(mus[0], p, k - 1)] * p, True))
-        else:
-            blocks.append((c, [restrict_tower(mu, p, k - 1) for mu in mus], False))
-    return acc, blocks
+    tower = restrict_tower if full else linear_tower
+    m = p ** (k - 1)
 
+    def state():
+        return defaultdict(int), defaultdict(int)
 
-def _orbit_scatter(blocks, p):
-    """The induced part of Stage B: orbit label -> multiplicity.
-
-    Labels are ranked by label_text, so least rotations are found on int
-    tuples and agree with tw.orbit.  A constant block meets each induced
-    label once, at its least rotation, so only the Lyndon words over its
-    rank-sorted labels are visited.  The class blocks are bilinear in their
-    factor vectors: blocks whose first p - 1 vectors are the same memoised
-    dicts are contracted into one vector for the last factor, products are
-    summed on raw rank tuples, and each distinct tuple is rotated once.
-    """
-    labels = {lab for _, parts, _ in blocks for part in parts for lab in part}
-    labels = sorted(labels, key=tw.label_text)
-    rank = {lab: i for i, lab in enumerate(labels)}
-    induced = defaultdict(int)
-    heads = {}
-    for c, parts, constant in blocks:
-        if constant:
-            rs, ms = zip(*sorted((rank[lab], m) for lab, m in parts[0].items()))
-            for word in tw.lyndon_words(len(rs), p):
-                induced[tuple(rs[i] for i in word)] += c * prod(ms[i] for i in word)
-            continue
-        _, last = heads.setdefault(tuple(map(id, parts[:-1])), (parts[:-1], defaultdict(int)))
-        for lab, m in parts[-1].items():
-            last[rank[lab]] += c * m
-    raw = defaultdict(int)
-    for head, last in heads.values():
-        ranks = [[rank[lab] for lab in part] for part in head]
-        tail = list(last.items())
-        for key, ms in zip(product(*ranks), product(*(part.values() for part in head))):
-            w = prod(ms)
-            for r, m in tail:
-                raw[key + (r,)] += w * m
-    for key, m in raw.items():
-        # a constant tuple belongs to the twisted part, counted in _twisted_part
-        if key.count(key[0]) != p:
-            induced[min(tw.rotations(key))] += m
-    return {("orb",) + tuple(labels[r] for r in key): m for key, m in induced.items()}
+    states = defaultdict(state)
+    subs = {}
+    # la's table is read once per level (the memos answer every repeat), so
+    # the first peel walks it without the cache
+    for (mu, nu), c in ch.split_walk(la, m).items():
+        sub = subs.get(mu)
+        if sub is None:
+            sub = subs[mu] = tower(mu, p, k - 1)
+        vec, chains = states[nu]
+        chains[mu] += c
+        for lab, x in sub.items():
+            vec[lab] += c * x
+    if full:
+        # by symmetry every mu of a later block was met in the first peel
+        labels = sorted({lab for sub in subs.values() for lab in sub}, key=tw.label_text)
+        rank = {lab: r for r, lab in enumerate(labels)}
+        # mu -> (its ranks ascending, their multiplicities)
+        ranked = {
+            mu: tuple(zip(*sorted((rank[lab], x) for lab, x in sub.items())))
+            for mu, sub in subs.items()
+        }
+        states = {
+            nu: ({(rank[lab],): w for lab, w in vec.items()}, chains)
+            for nu, (vec, chains) in states.items()
+        }
+    for i in range(p - 2, -1, -1):
+        merged = defaultdict(state)
+        for rest, (vec, chains) in states.items():
+            # the first block takes what is left whole
+            pairs = ch.split_pairs(rest, m) if i else {(rest, ()): 1}
+            for (mu, nu), c in pairs.items():
+                out, out_chains = merged[nu]
+                if mu in chains:
+                    out_chains[mu] += c * chains[mu]
+                if full:
+                    # a new entry must rank at least the first-filled one
+                    rs, xs = ranked[mu]
+                    for key, w in vec.items():
+                        cw = c * w
+                        for j in range(bisect_left(rs, key[-1]), len(rs)):
+                            out[(rs[j],) + key] += cw * xs[j]
+                else:
+                    sub = subs[mu]
+                    for lab, w in vec.items():
+                        x = sub.get(lab)
+                        if x:
+                            out[lab] += c * w * x
+        states = merged
+    vec, chains = states[()]
+    if full:
+        deg, induced = {}, {}
+        for key, w in vec.items():
+            if key.count(key[0]) == p:
+                deg[labels[key[0]]] = w
+                continue
+            # the least entry comes first, and one rotation of each orbit is kept
+            key = key[-1:] + key[:-1]
+            if key == min(tw.rotations(key)):
+                induced[("orb",) + tuple(labels[r] for r in key)] = w
+    else:
+        deg, induced = vec, {}
+    val = defaultdict(int)
+    for mu, c in chains.items():
+        d = ch.stretch_coefficient(la, mu, p)
+        ch.cyclic_split(p, c, d)
+        for lab, x in subs[mu].items():
+            val[lab] += d * x
+    twist = tw.twist if full else lambda lab, t: lab + (t,)
+    vec = {
+        twist(lab, t): w
+        for lab, n in deg.items()
+        for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
+        if w
+    }
+    vec.update(induced)
+    return vec
 
 
 def restrict_tower(la, p, k):
@@ -164,11 +196,7 @@ def restrict_tower(la, p, k):
         hit = _full_memo.get((p, k, la))
     if hit is not None:
         return hit
-    if k == 0:
-        vec = {tw.LEAF: 1}
-    else:
-        acc, blocks = _stage_b(la, p, k)
-        vec = {**acc, **_orbit_scatter(blocks, p)}
+    vec = {tw.LEAF: 1} if k == 0 else _level(la, p, k, True)
     total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
     if total != ch.sn_degree(la):
         raise ArithmeticError(
@@ -182,11 +210,9 @@ def restrict_tower(la, p, k):
 def linear_tower(la, p, k):
     """Linear-degree slice of restrict_tower, keyed by digit strings.
 
-    Exact projection of the same recursion: only the degree-1 labels of the
-    factors can assemble into a degree-1 label one level up, through either
-    a constant tuple (twists) or a constant block of a twisted constituent,
-    so the slice is the twisted part of Stage B alone, folded by
-    _twisted_part over the linear vectors one level down.
+    Exact projection of the same recursion: only constant tuples of linear
+    labels one level down give a linear label, so the slice is _level's
+    diagonal over the linear vectors.
     """
     hit = _lin_memo.get((p, k, la)) if isinstance(la, tuple) else None
     if hit is None:
@@ -194,69 +220,9 @@ def linear_tower(la, p, k):
         hit = _lin_memo.get((p, k, la))
     if hit is not None:
         return hit
-    if k == 0:
-        vec = {(): 1}
-    else:
-        vec = {lab + (t,): w for lab, t, w in _twisted_part(linear_tower, la, p, k)}
+    vec = {(): 1} if k == 0 else _level(la, p, k, False)
     _lin_memo[p, k, la] = vec
     return vec
-
-
-def _twisted_part(tower, la, p, k):
-    """Stage B's twisted part: (label one level down, twist t, multiplicity > 0).
-
-    tower is restrict_tower or linear_tower, the vectors of the factors.
-    Folds over the p blocks of size m = p^(k-1) as young_decompose does,
-    peeling the last block first and merging by remaining shape, but each
-    state holds {label l: sum of c prod_i m_{mu_i}(l)} instead of tuples.
-    So deg[l] is summed over all ordered tuples, which is p c prod_i m_i(l)
-    per non-constant orbit (its p rotations) and c m^p per constant tuple.
-    Beside the labels run the constant chains, mu -> sum of c over the peels
-    whose blocks were all mu, which end as c = c^la_{mu^p}; each such mu
-    adds d m_mu(l) to val[l], d the stretched pairing, and its own split
-    cyclic_split(p, c, d) is asserted.  Each label's C_p character
-    (deg[l], val[l]) is then split once.
-    """
-    m = p ** (k - 1)
-    # remaining shape -> (label -> running sum, mu -> running c of its constant
-    # chain); None before the first peel
-    states = {la: (None, None)}
-    subs = {}
-    for i in range(p - 1, -1, -1):
-        merged = defaultdict(lambda: (defaultdict(int), defaultdict(int)))
-        for rest, (vec, chains) in states.items():
-            # the first block takes what is left whole
-            pairs = ch.split_pairs(rest, m) if i else {(rest, ()): 1}
-            for (mu, nu), c in pairs.items():
-                sub = subs.get(mu)
-                if sub is None:
-                    sub = subs[mu] = tower(mu, p, k - 1)
-                out, out_chains = merged[nu]
-                if vec is None:
-                    out_chains[mu] += c
-                    for lab, x in sub.items():
-                        out[lab] += c * x
-                    continue
-                if mu in chains:
-                    out_chains[mu] += c * chains[mu]
-                for lab, w in vec.items():
-                    x = sub.get(lab)
-                    if x:
-                        out[lab] += c * w * x
-        states = merged
-    deg, chains = states[()]
-    val = defaultdict(int)
-    for mu, c in chains.items():
-        d = ch.stretch_coefficient(la, mu, p)
-        ch.cyclic_split(p, c, d)
-        for lab, x in subs[mu].items():
-            val[lab] += d * x
-    return [
-        (lab, t, w)
-        for lab, n in deg.items()
-        for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
-        if w
-    ]
 
 
 def _sylow_product(tower, la, p, heights, memo):

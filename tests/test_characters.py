@@ -77,6 +77,8 @@ def test_lr_small_values():
     assert lr_coefficient((2, 2, 2), (2, 1), (2, 1)) == 1
     assert lr_coefficient((6, 2), (4,), (2, 2)) == 1
     assert lr_coefficient((6, 2), (4,), (1, 1, 1, 1)) == 0
+    # not a partition, though each row fits inside la
+    assert lr_coefficient((3, 2), (1, 2), (2,)) == 0
 
 
 def test_lr_symmetries():
@@ -144,7 +146,8 @@ def test_split_pairs_orientation():
     pairs = split_pairs((6, 2), 4)
     assert pairs[((4,), (2, 2))] == pairs[((2, 2), (4,))] == 1
     # every entry against the character inner product, which needs only
-    # character_value: c^la_{mu,nu} = sum chi^la(a u b) chi^mu(a) chi^nu(b) / (z_a z_b)
+    # character_value: c^la_{mu,nu} = sum chi^la(a u b) chi^mu(a) chi^nu(b) / (z_a z_b);
+    # lr_coefficient walks one inner shape, zero entries included
     for n in range(9):
         for la in partitions(n):
             for m in range(n + 1):
@@ -161,6 +164,7 @@ def test_split_pairs_orientation():
                             for a in partitions(m)
                             for b in partitions(n - m)
                         )
+                        assert lr_coefficient(la, mu, nu) == c, (la, mu, nu)
                         if c:
                             want[mu, nu] = c
                 assert split_pairs(la, m) == want, (la, m)

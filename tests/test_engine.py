@@ -16,7 +16,7 @@ from sylowbranch.partitions import conjugate, hook, partitions, sylow_shape
 
 
 def test_twisted_tensor_power_split_is_orbit_convolution():
-    # Stage B splits a constant tuple's twisted tensor power (c m^p, d m)
+    # engine._level splits a constant tuple's twisted tensor power (c m^p, d m)
     # once.  The reference convolves the twist weights cyclic_split(p, c, d)
     # with the C_p-orbit counts on range(m)^p: N_0 counts all orbits, N_s for
     # s != 0 the non-constant ones
@@ -39,13 +39,13 @@ def test_twisted_tensor_power_split_is_orbit_convolution():
     [
         lambda la, mu, d: d + 1,
         # keeps every per-label split integral and nonnegative, so only the
-        # check on each constant tuple, here (4)^2, catches it: in the
-        # twisted fold, on the full path and on the linear one
+        # check on each constant chain, here (4)^2, catches it: in
+        # engine._level, on the full path and on the linear one
         lambda la, mu, d: d + 2 if (la, mu) == ((6, 2), (4,)) else d,
     ],
     ids=["every-pairing", "one-pairing"],
 )
-def test_stage_a_checks_each_constant_split(monkeypatch, broken):
+def test_level_checks_each_constant_split(monkeypatch, broken):
     real = characters.stretch_coefficient
     monkeypatch.setattr(
         characters, "stretch_coefficient", lambda la, mu, p: broken(la, mu, real(la, mu, p))
@@ -90,7 +90,7 @@ def test_restrict_tower_dimension_conservation():
 
 
 def test_linear_tower_is_the_linear_slice():
-    # both paths share the twisted fold, so this checks the projection: the
+    # both paths share the level fold, so this checks the projection: the
     # degree-1 labels of a full vector come only from the degree-1 labels
     # one level down
     every = ((2, 3), (3, 2), (2, 4), (5, 1), (7, 1))
@@ -426,12 +426,14 @@ def _naive_tower(la, p, k):
 def test_restrict_tower_matches_naive_orbit_scatter():
     # the reference builds every orbit label with tw.orbit, so equality also
     # shows that each induced label is its text-least rotation, and it sums
-    # the twisted part per tuple, not by the shared fold
-    for p, k_max in ((2, 4), (3, 2), (5, 1)):
-        for k in range(1, k_max + 1):
-            for la in partitions(p**k):
-                assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
-
+    # the twisted part per tuple, not by the level fold
+    every = ((2, 4), (3, 2), (5, 1))
+    cases = [(la, p, k) for p, k_max in every for k in range(1, k_max + 1) for la in partitions(p**k)]
+    # odd p above the first level: tuples of three or five entries are
+    # pruned and rotated, at (3, 3) over factor labels that are orbits
+    cases += [((21, 6), 3, 3), ((15, 9, 3), 3, 3), ((20, 5), 5, 2), ((15, 5, 5), 5, 2)]
+    for la, p, k in cases:
+        assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
 
 
 def test_hooks_restrict_to_their_own_linear_label_beyond_hook_diagonal():
