@@ -23,37 +23,33 @@ enumerates fillings: it builds la's cell grid once and walks each inner
 shape's skew cells on it, one recursion level per cell over flat index
 arrays.  split_pairs is the same walk memoized, so callers must treat its
 dicts as read-only; a table read only once (the engine's first peel of a
-tower level) is walked without the cache, and lr_coefficient walks only
-the inner shape it needs.  young_decompose folds split_pairs over any
-number of blocks, peeling the last block first and merging partial
-results by remaining shape; lr_multi reads one entry of the fold, keeping
-only the wanted constituent of each block.
+tower level) is walked without the cache.  lr_multi, and lr_coefficient
+as its two-factor case, peels its smallest factor, walking that one inner
+shape, and memoizes each coefficient.  young_decompose folds split_pairs
+over any number of blocks, peeling the last block first and merging
+partial results by remaining shape.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
 from math import factorial
 
 from .partitions import check_partition, conjugate
 
 
-@cache
 def sn_degree(la):
     """Dimension of the irreducible character of S_|la| labelled by la."""
+    return _degree(tuple(la))
+
+
+@cache
+def _degree(la):
     prod = 1
     cols = conjugate(la)
     for r, part in enumerate(la):
         for c in range(part):
             prod *= part - c + cols[c] - r - 1
     return factorial(sum(la)) // prod
-
-
-def centralizer_order(ct):
-    """|C_{S_n}(g)| = prod i^{m_i} m_i! for an element of cycle type ct."""
-    z = 1
-    for length, count in Counter(ct).items():
-        z *= length**count * factorial(count)
-    return z
 
 
 def _strip_removals(la, length):
@@ -99,25 +95,8 @@ def character_value(la, ct):
 
 
 def lr_coefficient(la, mu, nu):
-    """Littlewood-Richardson coefficient c^la_{mu,nu}.
-
-    Memoized per coefficient: it walks la's fillings for the one inner
-    shape, mu or nu, on the smaller side, so it never builds the whole
-    split_pairs table.
-    """
-    return _lr(tuple(la), tuple(mu), tuple(nu))
-
-
-@cache
-def _lr(la, mu, nu):
-    if sum(mu) + sum(nu) != sum(la):
-        raise ValueError("sizes must satisfy |mu| + |nu| = |la|")
-    inner = mu if sum(mu) <= sum(nu) else nu
-    # the walk needs a partition inside la, as subshapes gives them
-    bounds = zip(la[:1] + inner, inner, la)
-    if len(inner) > len(la) or not all(0 < x <= min(prev, top) for prev, x, top in bounds):
-        return 0
-    return split_walk(la, sum(mu), inner).get((mu, nu), 0)
+    """Littlewood-Richardson coefficient c^la_{mu,nu}, the two-factor case of lr_multi."""
+    return lr_multi(la, (mu, nu))
 
 
 def subshapes(la, size):
@@ -251,15 +230,31 @@ def young_decompose(la, sizes, factor=None):
 
 
 def lr_multi(la, factors):
-    """Multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted.
+    """c^la_{mu_1..mu_r}, the multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted."""
+    return _lr_peel(tuple(la), tuple(map(tuple, factors)))
 
-    The fold's factor keeps only the wanted constituent of each block, so
-    its states never hold more than the one wanted tail.
+
+@cache
+def _lr_peel(la, factors):
+    """lr_multi, memoized on the factors as given: sum over nu of c^la_{q,nu} c^nu_{rest}.
+
+    The coefficient is symmetric in its factors, so the empty ones are
+    dropped and the rest put in size order.  The first, q, is then at most
+    half of la, so split_walk walks la's fillings for that one inner shape.
     """
-    factors = tuple(tuple(mu) for mu in factors)
-    return young_decompose(
-        la, map(sum, factors), lambda mu, i: {mu: 1} if mu == factors[i] else {}
-    ).get(factors, 0)
+    q, *rest = sorted(filter(None, factors), key=sum) or [()]
+    if sum(q) + sum(map(sum, rest)) != sum(la):
+        raise ValueError("factor sizes must sum to |la|")
+    if not rest:
+        return int(q == la)
+    # the walk needs a partition inside la, as subshapes gives them
+    bounds = zip(la[:1] + q, q, la)
+    if len(q) > len(la) or not all(0 < x <= min(prev, top) for prev, x, top in bounds):
+        return 0
+    pairs = split_walk(la, sum(q), q)
+    if len(rest) == 1:  # one lookup, and no memo entry per remaining shape
+        return pairs.get((q, rest[0]), 0)
+    return sum(c * _lr_peel(nu, tuple(rest)) for (_, nu), c in pairs.items())
 
 
 @cache

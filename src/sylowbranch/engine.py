@@ -61,7 +61,7 @@ from collections import defaultdict
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import check_partition, check_prime, sylow_shape
+from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, sylow_shape
 
 _full_memo = {}
 _lin_memo = {}
@@ -301,9 +301,6 @@ def count_lin(la, p):
 
 CACHE_FORMAT = "sylowbranch-restriction-cache"
 CACHE_VERSION = 1
-# the largest p^k a cache entry may have: the filling walk recurses once per
-# cell, so restrict_tower stops with RecursionError near |la| = 1000
-CACHE_MAX_SIZE = 2**12
 
 
 def _json_list(items, depth):

@@ -28,30 +28,36 @@ def check_partition(parts):
     return la
 
 
+# the largest partition size read from text or a cache entry: the filling
+# walk recurses once per cell, so the engine stops with RecursionError near 1000
+CACHE_MAX_SIZE = 2**12
+
+
 def parse_partition(text):
-    """Parse comma-separated parts with exponent shorthand, e.g. "8,2,1^6"."""
+    """Parse comma-separated parts with exponent shorthand, e.g. "8,2,1^6".
+
+    Raises ValueError as soon as the size would pass CACHE_MAX_SIZE, before
+    the token is expanded; a part below 1 counts as one cell there.
+    """
     text = text.strip()
     if not text:
         return ()
-    parts = []
+    parts, size = [], 0
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise ValueError(f"empty part in partition text {text!r}")
-        if "^" in token:
-            base, _, exp = token.partition("^")
-            try:
-                b, e = int(base), int(exp)
-            except ValueError:
-                raise ValueError(f"bad partition token {token!r}") from None
-            if e < 0:
-                raise ValueError(f"negative exponent in {token!r}")
-            parts.extend([b] * e)
-        else:
-            try:
-                parts.append(int(token))
-            except ValueError:
-                raise ValueError(f"bad partition token {token!r}") from None
+        base, hat, exp = token.partition("^")
+        try:
+            b, e = int(base), int(exp) if hat else 1
+        except ValueError:
+            raise ValueError(f"bad partition token {token!r}") from None
+        if e < 0:
+            raise ValueError(f"negative exponent in {token!r}")
+        size += max(b, 1) * e
+        if size > CACHE_MAX_SIZE:
+            raise ValueError(f"partition size passes {CACHE_MAX_SIZE} at {token!r}")
+        parts.extend([b] * e)
     return check_partition(parts)
 
 

@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import permutations, product
 
 import pytest
 
+import sylowbranch
 from sylowbranch.characters import (
     _p_quotient,
     _strip_removals,
-    centralizer_order,
     character_value,
     cyclic_split,
     lr_coefficient,
@@ -23,12 +25,37 @@ from sylowbranch.characters import (
 from sylowbranch.partitions import conjugate, hook, partitions
 
 
+def centralizer_order(ct):
+    """|C_{S_n}(g)| = prod i^{m_i} m_i! for an element of cycle type ct."""
+    return math.prod(length**count * math.factorial(count) for length, count in Counter(ct).items())
+
+
+def _lr_by_characters(la, factors):
+    """c^la_{mu_1..mu_r} as a character inner product, from character_value alone.
+
+    The sum over cycle types a_i of mu_i of chi^la(a_1 u ... u a_r)
+    prod chi^{mu_i}(a_i) / z_{a_i}.
+    """
+    return sum(
+        Fraction(
+            character_value(la, sum(cts, ())) * math.prod(map(character_value, factors, cts)),
+            math.prod(map(centralizer_order, cts)),
+        )
+        for cts in product(*(partitions(sum(mu)) for mu in factors))
+    )
+
+
 def test_degrees_hook_length_formula():
     assert sn_degree((1,)) == 1
     assert sn_degree((2, 1)) == 2
     assert sn_degree((3, 2)) == 5
     assert sn_degree((4, 4)) == 14
     assert sn_degree((5, 4, 3, 2, 1)) == 292864
+
+
+def test_degree_takes_any_iterable_of_parts():
+    assert sn_degree([3, 1]) == sn_degree(iter((3, 1))) == sn_degree((3, 1)) == 3
+    assert sylowbranch.sn_degree([5, 4, 3, 2, 1]) == 292864
 
 
 def test_degree_squares_sum_to_factorial():
@@ -145,29 +172,46 @@ def test_lr_multi_agrees_with_young_decompose():
 def test_split_pairs_orientation():
     pairs = split_pairs((6, 2), 4)
     assert pairs[((4,), (2, 2))] == pairs[((2, 2), (4,))] == 1
-    # every entry against the character inner product, which needs only
-    # character_value: c^la_{mu,nu} = sum chi^la(a u b) chi^mu(a) chi^nu(b) / (z_a z_b);
-    # lr_coefficient walks one inner shape, zero entries included
+    # every entry against the character inner product, zero entries included
     for n in range(9):
         for la in partitions(n):
             for m in range(n + 1):
                 want = {}
                 for mu in partitions(m):
                     for nu in partitions(n - m):
-                        c = sum(
-                            Fraction(
-                                character_value(la, a + b)
-                                * character_value(mu, a)
-                                * character_value(nu, b),
-                                centralizer_order(a) * centralizer_order(b),
-                            )
-                            for a in partitions(m)
-                            for b in partitions(n - m)
-                        )
+                        c = _lr_by_characters(la, (mu, nu))
                         assert lr_coefficient(la, mu, nu) == c, (la, mu, nu)
                         if c:
                             want[mu, nu] = c
                 assert split_pairs(la, m) == want, (la, m)
+
+
+def test_lr_multi_three_factors_by_characters():
+    # every block-size triple of n <= 7, empty blocks and zero entries
+    # included, against the character inner product; the value does not
+    # depend on the order of the factors or on an added empty one
+    for n in range(8):
+        for m1 in range(n + 1):
+            for m2 in range(n - m1 + 1):
+                sizes = (m1, m2, n - m1 - m2)
+                for la in partitions(n):
+                    for factors in product(*map(partitions, sizes)):
+                        c = _lr_by_characters(la, factors)
+                        assert lr_multi(la, factors) == c, (la, factors)
+                        for order in permutations(factors + ((),)):
+                            assert lr_multi(la, order) == c, (la, order)
+
+
+def test_lr_multi_input_forms():
+    assert lr_multi([3, 2, 1], [[2, 1], [], [2, 1]]) == 2
+    assert lr_multi((), ()) == lr_multi((), ((),)) == 1
+    assert lr_multi((2,), ((2,),)) == 1 and lr_multi((2,), ((1, 1),)) == 0
+    # not a partition, in whichever position the peel meets it
+    assert lr_multi((3, 2, 1), ((1, 2), (2,), (1,))) == 0
+    mismatched = (((3, 1), ((2,), (1,))), ((3, 1), ()), ((), ((1,),)), ((2, 1), ((2,), (2,))))
+    for la, factors in mismatched:
+        with pytest.raises(ValueError):
+            lr_multi(la, factors)
 
 
 def test_split_pairs_symmetries_to_twelve():

@@ -165,6 +165,24 @@ def test_exit_code_domain_for_cache_io_and_recursion_depth(tmp_path):
         assert "Traceback" not in r.stderr
 
 
+def test_huge_lambda_text_is_rejected_before_it_is_expanded():
+    # under a 1 GB address-space cap, expanding the 10^9 parts would end in MemoryError
+    capped = (
+        "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "runpy.run_module('sylowbranch.cli', run_name='__main__')"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", capped, "lin", "--lambda", "1^1000000000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
 def test_python_dash_m_package():
     r = subprocess.run(
         [sys.executable, "-m", "sylowbranch", "sbc", "--p", "2", "--lambda", "6,2", "--linear", "y=0"],

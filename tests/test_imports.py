@@ -1,14 +1,22 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every top-level
+function and class of the package is referenced somewhere.
 
-`__init__.py` is left out: its imports are the package's re-exports.  The
-modules are read with ast, not imported, so a name counts as used when it
-appears as a bare name anywhere in the module, an attribute's base included.
+For imports `__init__.py` is left out: its imports are the package's
+re-exports.  The modules are read with ast, not imported, so a name counts
+as used when it appears as a bare name anywhere in the module, an
+attribute's base included.
+
+A top-level function or class counts as referenced when its name appears
+outside its own definition in a module of `src/`, `tests/` or `perfbench/`:
+as a bare name, an attribute, an imported name or a whole string, because
+the tracer patches functions by module and name.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sylowbranch"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sylowbranch"
 
 
 def _unused_imports(source):
@@ -38,3 +46,54 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not unused, unused
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _unreferenced(package, others):
+    """(module, name) of each top-level def or class in package named nowhere else.
+
+    package maps module names to sources; others is a list of sources that
+    only reference.
+    """
+    defined = set()
+    used = set()
+    for module, source in [*package.items(), *((None, text) for text in others)]:
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and module:
+                defined.add((module, own))
+            used.update(name for name in _names(stmt) if name != own)
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    package = {
+        "a.py": "def used():\n    return 1\n\n\ndef recursive(n):\n    return recursive(n - 1)\n"
+        "\n\nclass Dead:\n    pass\n\n\ndef traced():\n    pass\n",
+        "b.py": "from .a import used\n",
+    }
+    others = ["SPANNED = (('a', 'traced'),)\n"]
+    assert _unreferenced(package, others) == [("a.py", "Dead"), ("a.py", "recursive")]
+
+
+def test_every_top_level_definition_is_referenced():
+    package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(package) >= 10
+    others = [
+        path.read_text(encoding="utf-8")
+        for base in ("tests", "perfbench")
+        for path in sorted((ROOT / base).rglob("*.py"))
+    ]
+    unreferenced = _unreferenced(package, others)
+    assert not unreferenced, unreferenced

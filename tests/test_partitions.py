@@ -3,6 +3,7 @@ from math import isqrt
 import pytest
 
 from sylowbranch.partitions import (
+    CACHE_MAX_SIZE,
     almost_hook,
     almost_hook_coordinate,
     check_partition,
@@ -46,6 +47,20 @@ def test_parse_format_roundtrip():
     assert format_partition((8, 2) + (1,) * 6) == "8,2,1,1,1,1,1,1"
     for la in [(8, 2, 1, 1), (4,), (1, 1, 1), ()]:
         assert parse_partition(format_partition(la)) == la
+
+
+def test_parse_bounds_the_size_before_expanding():
+    assert parse_partition(f"1^{CACHE_MAX_SIZE}") == (1,) * CACHE_MAX_SIZE
+    assert parse_partition(f"{CACHE_MAX_SIZE - 2},1^2") == (CACHE_MAX_SIZE - 2, 1, 1)
+    # a part below 1 counts one cell, so no token expands past the bound
+    huge = ("1^1000000000", "0^1000000000", "-1^1000000000")
+    for text in (f"1^{CACHE_MAX_SIZE + 1}", f"{CACHE_MAX_SIZE},1", *huge):
+        with pytest.raises(ValueError, match=str(CACHE_MAX_SIZE)):
+            parse_partition(text)
+    # below the bound, the parts themselves are checked as before
+    for text in ("0^3", "2,3", "1^-1", "x^2"):
+        with pytest.raises(ValueError):
+            parse_partition(text)
 
 
 def test_partition_counts():
