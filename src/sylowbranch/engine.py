@@ -5,20 +5,21 @@ The computation follows the subgroup chain
     S_{p^k}  >  W = S_{p^{k-1}} wr C_p  >  P = P_{p^{k-1}} wr C_p
 
 one tower level at a time, by one fold, _level, over the p blocks of size
-p^{k-1}.  Like characters.young_decompose it peels the last block first
-and merges partial results by remaining shape, and each block multiplies
-in the factor vectors R_mu one level down, so a p-tuple of labels
-(l_1..l_p) ends with the weight sum_mu c^la_{mu_1..mu_p} prod_i m_{mu_i}(l_i).
-c^la_{mu_1..mu_p} does not change when the mu's are rotated, so neither
-does the weight.
+p^{k-1}.  It peels the last block first and merges partial results by
+remaining shape, and each block multiplies in the factor vectors R_mu one
+level down, so a p-tuple of labels (l_1..l_p) ends with the weight
+sum_mu c^la_{mu_1..mu_p} prod_i m_{mu_i}(l_i).  c^la_{mu_1..mu_p} does not
+change when the mu's are rotated, so neither does the weight.
 
 A non-constant label tuple is induced from the base group, and by Mackey's
 theorem with a single double coset its orbit label, the least rotation in
 label_text order (the one tw.orbit picks), has the weight as multiplicity.
-The fold keeps one rotation of each: the labels are ranked by label_text
-after the first peel, a tuple grows only by entries that rank at least its
-first-filled (last) one, and at the end it is kept if, rotated right by
-one, it is its least rotation.
+The fold keeps one rotation of each, on label ranks from the first peel
+on: the labels of the factor vectors are ranked by label_text before that
+peel, a tuple grows only by entries that rank at least its first-filled
+(last) one, and at the end it is kept if, rotated right by one, it is its
+least rotation.  That holds without comparing rotations when the least
+entry occurs once, as it always does at p = 2.
 
 A constant tuple (l, ..., l) is one character of C_p per label: its weight
 is the degree, and its value on a generator is the sum over the constant
@@ -36,7 +37,8 @@ of primitive root is made.  The odd-p stage is a derived extension
 validated against the brute-force oracle.)
 
 Every divisibility is asserted and every full vector is checked against
-dimension conservation; failures abort rather than round.
+dimension conservation, its degree summed from the degrees of the ranked
+labels one level down; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
@@ -58,6 +60,7 @@ restrict_sylow keeps its products for one call only.
 import os
 from bisect import bisect_left
 from collections import defaultdict
+from math import prod
 
 from . import characters as ch
 from . import tower as tw
@@ -91,14 +94,16 @@ def _check_size(la, p, k):
 
 
 def _level(la, p, k, full):
-    """One tower level of la: restrict_tower's vector if full, else linear_tower's.
+    """One tower level of la and its degree: restrict_tower's if full, else linear_tower's.
 
     The states map a remaining shape to (key -> weight, mu -> c of its
     constant chain).  On the full path a key is a tuple of label ranks,
     filled from the last block; on the linear path it is a label, kept only
-    while every block has it (the diagonal).  Ranking the labels after the
+    while every block has it (the diagonal).  Ranking the labels before the
     first peel, the step that extends a key and turning the keys back into
-    labels are the only places where the two paths differ.
+    labels are the only places where the two paths differ.  The degree is
+    summed over the output labels, on the full path from the degrees of
+    their ranks; every linear label has degree 1.
     """
     tower = restrict_tower if full else linear_tower
     m = p ** (k - 1)
@@ -110,27 +115,34 @@ def _level(la, p, k, full):
     subs = {}
     # la's table is read once per level (the memos answer every repeat), so
     # the first peel walks it without the cache
-    for (mu, nu), c in ch.split_walk(la, m).items():
-        sub = subs.get(mu)
-        if sub is None:
-            sub = subs[mu] = tower(mu, p, k - 1)
-        vec, chains = states[nu]
-        chains[mu] += c
-        for lab, x in sub.items():
-            vec[lab] += c * x
+    walk = ch.split_walk(la, m)
     if full:
-        # by symmetry every mu of a later block was met in the first peel
+        # by symmetry every mu of a later block is met in the first peel
+        for mu, _ in walk:
+            if mu not in subs:
+                subs[mu] = tower(mu, p, k - 1)
         labels = sorted({lab for sub in subs.values() for lab in sub}, key=tw.label_text)
         rank = {lab: r for r, lab in enumerate(labels)}
+        degs = [tw.label_degree(p, lab) for lab in labels]
         # mu -> (its ranks ascending, their multiplicities)
         ranked = {
             mu: tuple(zip(*sorted((rank[lab], x) for lab, x in sub.items())))
             for mu, sub in subs.items()
         }
-        states = {
-            nu: ({(rank[lab],): w for lab, w in vec.items()}, chains)
-            for nu, (vec, chains) in states.items()
-        }
+        for (mu, nu), c in walk.items():
+            vec, chains = states[nu]
+            chains[mu] += c
+            for r, x in zip(*ranked[mu]):
+                vec[(r,)] += c * x
+    else:
+        for (mu, nu), c in walk.items():
+            sub = subs.get(mu)
+            if sub is None:
+                sub = subs[mu] = tower(mu, p, k - 1)
+            vec, chains = states[nu]
+            chains[mu] += c
+            for lab, x in sub.items():
+                vec[lab] += c * x
     for i in range(p - 2, -1, -1):
         merged = defaultdict(state)
         for rest, (vec, chains) in states.items():
@@ -155,33 +167,42 @@ def _level(la, p, k, full):
                             out[lab] += c * w * x
         states = merged
     vec, chains = states[()]
-    if full:
-        deg, induced = {}, {}
-        for key, w in vec.items():
-            if key.count(key[0]) == p:
-                deg[labels[key[0]]] = w
-                continue
-            # the least entry comes first, and one rotation of each orbit is kept
-            key = key[-1:] + key[:-1]
-            if key == min(tw.rotations(key)):
-                induced[("orb",) + tuple(labels[r] for r in key)] = w
-    else:
-        deg, induced = vec, {}
+    # the constant tuples' values, by rank on the full path
     val = defaultdict(int)
     for mu, c in chains.items():
         d = ch.stretch_coefficient(la, mu, p)
         ch.cyclic_split(p, c, d)
-        for lab, x in subs[mu].items():
+        for lab, x in zip(*ranked[mu]) if full else subs[mu].items():
             val[lab] += d * x
-    twist = tw.twist if full else lambda lab, t: lab + (t,)
-    vec = {
-        twist(lab, t): w
-        for lab, n in deg.items()
-        for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
-        if w
-    }
-    vec.update(induced)
-    return vec
+    if not full:
+        vec = {
+            lab + (t,): w
+            for lab, n in vec.items()
+            for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
+            if w
+        }
+        return vec, sum(vec.values())
+    # the first-filled entry of a key is its least; the twists come first
+    out, total = {}, 0
+    for key, n in vec.items():
+        r = key[-1]
+        if key.count(r) == p:
+            deg = degs[r] ** p
+            for t, w in enumerate(ch.cyclic_split(p, n, val[r])):
+                if w:
+                    out[tw.twist(labels[r], t)] = w
+                    total += w * deg
+    for key, w in vec.items():
+        n = key.count(key[-1])
+        if n == p:
+            continue
+        # one rotation of each orbit is kept: the least, which starts with
+        # the least entry, so it is this one if that entry is unique
+        key = key[-1:] + key[:-1]
+        if n == 1 or key == min(tw.rotations(key)):
+            out[("orb", *map(labels.__getitem__, key))] = w
+            total += p * w * prod(map(degs.__getitem__, key))
+    return out, total
 
 
 def restrict_tower(la, p, k):
@@ -196,8 +217,7 @@ def restrict_tower(la, p, k):
         hit = _full_memo.get((p, k, la))
     if hit is not None:
         return hit
-    vec = {tw.LEAF: 1} if k == 0 else _level(la, p, k, True)
-    total = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())
+    vec, total = ({tw.LEAF: 1}, 1) if k == 0 else _level(la, p, k, True)
     if total != ch.sn_degree(la):
         raise ArithmeticError(
             f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
@@ -220,7 +240,7 @@ def linear_tower(la, p, k):
         hit = _lin_memo.get((p, k, la))
     if hit is not None:
         return hit
-    vec = {(): 1} if k == 0 else _level(la, p, k, False)
+    vec = {(): 1} if k == 0 else _level(la, p, k, False)[0]
     _lin_memo[p, k, la] = vec
     return vec
 
@@ -384,6 +404,7 @@ def load_cache(path):
             f"stale cache version {payload.get('version')!r} (need {CACHE_VERSION})"
         )
     loaded = {}
+    facts = {}  # (p, label text) -> (height, degree), for this call only
     for i, entry in enumerate(entries):
         try:
             p, k = _json_int(entry["p"]), _json_int(entry["k"])
@@ -393,13 +414,20 @@ def load_cache(path):
             la = _check_size(entry["lambda"].split(","), p, k)
             if (p, k, la) in loaded:
                 raise ValueError(f"a second entry for p={p}, k={k}, {la}")
-            pairs = [(tw.parse_label(text), _json_int(m)) for text, m in entry["vector"]]
-            vec = dict(pairs)
-            if len(vec) != len(pairs):
+            rows = [(text, tw.parse_label(text), _json_int(m)) for text, m in entry["vector"]]
+            vec = {lab: m for _, lab, m in rows}
+            if len(vec) != len(rows):
                 raise ValueError("a label given twice")
-            if any(tw.label_height(p, lab) != k or m <= 0 for lab, m in vec.items()):
-                raise ValueError("a label of another height or a multiplicity below 1")
-            if sum(m * tw.label_degree(p, lab) for lab, m in vec.items()) != ch.sn_degree(la):
+            total = 0
+            for text, lab, m in rows:
+                fact = facts.get((p, text))
+                if fact is None:
+                    fact = facts[p, text] = (tw.label_height(p, lab), tw.label_degree(p, lab))
+                height, degree = fact
+                if height != k or m <= 0:
+                    raise ValueError("a label of another height or a multiplicity below 1")
+                total += m * degree
+            if total != ch.sn_degree(la):
                 raise ValueError("dimension conservation fails")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"corrupt cache entry {i} in {path}: {exc}") from exc

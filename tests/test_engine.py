@@ -432,8 +432,33 @@ def test_restrict_tower_matches_naive_orbit_scatter():
     # odd p above the first level: tuples of three or five entries are
     # pruned and rotated, at (3, 3) over factor labels that are orbits
     cases += [((21, 6), 3, 3), ((15, 9, 3), 3, 3), ((20, 5), 5, 2), ((15, 5, 5), 5, 2)]
+    # two-row shapes of 32, where every non-constant key has a unique least
+    # entry and the fold keeps it without comparing rotations
+    cases += [((27, 5), 2, 5), ((25, 7), 2, 5), ((23, 9), 2, 5)]
     for la, p, k in cases:
         assert engine.restrict_tower(la, p, k) == _naive_tower(la, p, k), (p, k, la)
+
+
+@pytest.mark.parametrize("broken", ["sn_degree", "label_degree"])
+@pytest.mark.parametrize(
+    "la, p, k, mu", [((6, 2), 2, 3, (4,)), ((6, 3), 3, 2, (3,))], ids=["p=2", "p=3"]
+)
+def test_dimension_conservation_catches_a_wrong_vector(monkeypatch, broken, la, p, k, mu):
+    # the level sums its degrees from the labels one level down, so a wrong
+    # S_n degree of la, or a wrong degree of the one label of mu's vector,
+    # must still fail the check
+    target = tw.linear_label((0,) * (k - 1))
+    assert engine.restrict_tower(mu, p, k - 1) == {target: 1}
+    if broken == "sn_degree":
+        real = characters.sn_degree
+        monkeypatch.setattr(characters, "sn_degree", lambda shape: real(shape) + (tuple(shape) == la))
+    else:
+        # uncached, so no degree computed earlier hides the wrong one
+        real = tw.label_degree.__wrapped__
+        monkeypatch.setattr(tw, "label_degree", lambda q, lab: real(q, lab) + (lab == target))
+    monkeypatch.setattr(engine, "_full_memo", {})
+    with pytest.raises(ArithmeticError, match="dimension conservation failed"):
+        engine.restrict_tower(la, p, k)
 
 
 def test_hooks_restrict_to_their_own_linear_label_beyond_hook_diagonal():

@@ -145,10 +145,12 @@ def test_linear_oracle_matches_engine_at_bench_sizes():
 
 
 def test_norm_identity_over_cycle_types():
-    # sum of m^2 over the full vector = <chi|, chi|>_P = (1/|P|) sum_ct count(ct) chi(ct)^2
+    # sum of m^2 over the full vector = <chi|, chi|>_P = (1/|P|) sum_ct count(ct) chi(ct)^2;
+    # the cycle-index buckets reach sizes the element oracle cannot
     cases = [(la, 2) for la in partitions(16)]
-    cases += [((32,), 2)] + [((32 - b, b), 2) for b in range(1, 5)]
-    cases += [(la, 3) for la in ((27,), (26, 1), (25, 2), (24, 3), (9, 9, 9))]
+    cases += [((32,), 2)] + [((32 - b, b), 2) for b in (1, 2, 3, 4, 5, 7, 9, 16)]
+    cases += [(la, 3) for la in ((27,), (26, 1), (25, 2), (24, 3), (21, 6), (15, 9, 3), (9, 9, 9))]
+    cases += [(la, 5) for la in ((20, 5), (15, 5, 5))]
     for la, p in cases:
         n = sum(la)
         counts = Counter()
