@@ -230,12 +230,7 @@ def odd_prime_classification(p, n, la):
         if in_box(la, n - 2) and not in_box(la, n - p):
             return Outcome(str(p), "narrow-box", None)
         return Outcome(">p", "power-generic", None)
-    remainder = None
-    for i in range(1, p):
-        if len(sylow_shape(n - i, p)) == 1 and n - i >= p:
-            remainder = i
-            break
-    if remainder is not None:
+    if any(len(sylow_shape(n - i, p)) == 1 and n - i >= p for i in range(1, p)):
         if in_box(la, n - 1) and not in_box(la, n - p):
             return Outcome(str(p), "near-power-box", None)
         return Outcome(">p", "near-power-generic", None)

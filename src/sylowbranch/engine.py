@@ -17,9 +17,10 @@ label_text order (the one tw.orbit picks), has the weight as multiplicity.
 The fold keeps one rotation of each, on label ranks from the first peel
 on: the labels of the factor vectors are ranked by label_text before that
 peel, a tuple grows only by entries that rank at least its first-filled
-(last) one, and at the end it is kept if, rotated right by one, it is its
-least rotation.  That holds without comparing rotations when the least
-entry occurs once, as it always does at p = 2.
+(last) one, and one pass over the keys at the end keeps it if, rotated
+right by one, it is its least rotation.  That holds without comparing
+rotations when the least entry occurs once, as it always does at p = 2.
+tw.irr_labels enumerates the orbit labels of a level by the same rule.
 
 A constant tuple (l, ..., l) is one character of C_p per label: its weight
 is the degree, and its value on a generator is the sum over the constant
@@ -27,18 +28,21 @@ tuples mu^p of D m_mu(l), D the stretched pairing <s_mu[p_p], s_la> from
 Littlewood's p-quotient rule (characters.stretch_coefficient).  The fold
 carries the constant chains beside the labels, so each mu^p ends with
 c = c^la_{mu^p}, and its own split cyclic_split(p, c, D) over the p twists
-is asserted; each label is then split once by cyclic_split.  A character
-of C_p with degree c and value d on a generator contains the trivial
-character (c + (p-1) d)/p times and each other linear character
-(c - d)/p times.  (For p = 2 this is the classical symmetric/alternating
-square split; for odd p it is the same Frobenius computation carried out
-over C_p, where only the Galois-invariant aggregate enters, so no choice
-of primitive root is made.  The odd-p stage is a derived extension
-validated against the brute-force oracle.)
+is asserted; each constant key is then split once by cyclic_split, in the
+pass that keeps the orbits.  A character of C_p with degree c and value d
+on a generator contains the trivial character (c + (p-1) d)/p times and
+each other linear character (c - d)/p times.  (For p = 2 this is the
+classical symmetric/alternating square split; for odd p it is the same
+Frobenius computation carried out over C_p, where only the
+Galois-invariant aggregate enters, so no choice of primitive root is
+made.  The odd-p stage is a derived extension validated against the
+brute-force oracle.)
 
-Every divisibility is asserted and every full vector is checked against
-dimension conservation, its degree summed from the degrees of the ranked
-labels one level down; failures abort rather than round.
+restrict_tower and linear_tower share one memo body, _tower, which checks
+the input on a miss, starts both towers from the leaf {(): 1} and checks
+every full vector against dimension conservation, its degree summed from
+the degrees of the ranked labels one level down.  Every divisibility is
+asserted; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
@@ -182,22 +186,19 @@ def _level(la, p, k, full):
             if w
         }
         return vec, sum(vec.values())
-    # the first-filled entry of a key is its least; the twists come first
+    # one pass: the first-filled entry of a key is its least, so a constant
+    # key is split over the twists, and of an orbit the least rotation is
+    # kept, which starts with the least entry: this one if that is unique
     out, total = {}, 0
-    for key, n in vec.items():
-        r = key[-1]
-        if key.count(r) == p:
-            deg = degs[r] ** p
-            for t, w in enumerate(ch.cyclic_split(p, n, val[r])):
-                if w:
-                    out[tw.twist(labels[r], t)] = w
-                    total += w * deg
     for key, w in vec.items():
-        n = key.count(key[-1])
+        r = key[-1]
+        n = key.count(r)
         if n == p:
+            for t, x in enumerate(ch.cyclic_split(p, w, val[r])):
+                if x:
+                    out[tw.twist(labels[r], t)] = x
+                    total += x * degs[r] ** p
             continue
-        # one rotation of each orbit is kept: the least, which starts with
-        # the least entry, so it is this one if that entry is unique
         key = key[-1:] + key[:-1]
         if n == 1 or key == min(tw.rotations(key)):
             out[("orb", *map(labels.__getitem__, key))] = w
@@ -205,26 +206,32 @@ def _level(la, p, k, full):
     return out, total
 
 
+def _tower(memo, la, p, k, full):
+    """restrict_tower's body if full, else linear_tower's: memo lookup, check and store."""
+    # a hit is on a key that was checked when it was stored
+    hit = memo.get((p, k, la)) if isinstance(la, tuple) else None
+    if hit is None:
+        la = _check_size(la, p, k)
+        hit = memo.get((p, k, la))
+    if hit is not None:
+        return hit
+    # tw.LEAF is the empty digit string, so both towers start from {(): 1}
+    vec, total = ({tw.LEAF: 1}, 1) if k == 0 else _level(la, p, k, full)
+    if full and total != ch.sn_degree(la):
+        raise ArithmeticError(
+            f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
+            f"{total} != {ch.sn_degree(la)}"
+        )
+    memo[p, k, la] = vec
+    return vec
+
+
 def restrict_tower(la, p, k):
     """Full decomposition of la (a partition of p^k) over the tower labels.
 
     Returns a read-only dict label -> multiplicity, memoized on (p, k, la).
     """
-    # a hit is on a key that was checked when it was stored
-    hit = _full_memo.get((p, k, la)) if isinstance(la, tuple) else None
-    if hit is None:
-        la = _check_size(la, p, k)
-        hit = _full_memo.get((p, k, la))
-    if hit is not None:
-        return hit
-    vec, total = ({tw.LEAF: 1}, 1) if k == 0 else _level(la, p, k, True)
-    if total != ch.sn_degree(la):
-        raise ArithmeticError(
-            f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
-            f"{total} != {ch.sn_degree(la)}"
-        )
-    _full_memo[p, k, la] = vec
-    return vec
+    return _tower(_full_memo, la, p, k, True)
 
 
 def linear_tower(la, p, k):
@@ -234,15 +241,7 @@ def linear_tower(la, p, k):
     labels one level down give a linear label, so the slice is _level's
     diagonal over the linear vectors.
     """
-    hit = _lin_memo.get((p, k, la)) if isinstance(la, tuple) else None
-    if hit is None:
-        la = _check_size(la, p, k)
-        hit = _lin_memo.get((p, k, la))
-    if hit is not None:
-        return hit
-    vec = {(): 1} if k == 0 else _level(la, p, k, False)[0]
-    _lin_memo[p, k, la] = vec
-    return vec
+    return _tower(_lin_memo, la, p, k, False)
 
 
 def _sylow_product(tower, la, p, heights, memo):

@@ -63,29 +63,6 @@ def orbit(labels):
     return ("orb",) + labels[i:] + labels[:i]
 
 
-def lyndon_words(m, p):
-    """The Lyndon words of length p over range(m), in lexicographic order.
-
-    Duval's walk (Fredricksen-Kessler-Maiorana order): each word of length
-    at most p is extended periodically and its trailing maximal letters are
-    dropped.  For prime p these are exactly the least rotations of the
-    (m^p - m)/p non-constant necklaces.
-    """
-    if m < 2:
-        return
-    word = [0]
-    while word:
-        size = len(word)
-        if size == p:
-            yield tuple(word)
-        while len(word) < p:
-            word.append(word[len(word) - size])
-        while word and word[-1] == m - 1:
-            word.pop()
-        if word:
-            word[-1] += 1
-
-
 def is_orbit(label):
     return bool(label) and label[0] == "orb"
 
@@ -161,14 +138,21 @@ def irr_labels(p, k):
     """All irreducible-character labels of the height-k tower, sorted.
 
     Count satisfies |Irr(k)| = (m^p - m)/p + p*m with m = |Irr(k-1)|.  The
-    induced labels are the Lyndon words over the level below ranked by
-    label_text, that is the least rotations orbit picks.
+    induced labels follow engine._level's rule on the level below ranked by
+    label_text: a non-constant rank tuple is kept if its first entry is its
+    least and it is its least rotation, the one orbit picks.
     """
     if k == 0:
         return (LEAF,)
     below = sorted(irr_labels(p, k - 1), key=label_text)
     labels = [twist(inner, t) for inner in below for t in range(p)]
-    labels += [("orb",) + tuple(below[i] for i in word) for word in lyndon_words(len(below), p)]
+    for r in range(len(below)):
+        for rest in product(range(r, len(below)), repeat=p - 1):
+            key = (r, *rest)
+            # as in _level, a key whose least entry is unique is least
+            n = rest.count(r)
+            if not n or n < p - 1 and key == min(rotations(key)):
+                labels.append(("orb", *map(below.__getitem__, key)))
     return tuple(sorted(labels, key=lambda lab: (label_degree(p, lab), label_text(lab))))
 
 

@@ -69,6 +69,28 @@ def test_restrict_tower_trivial_levels():
     assert engine.restrict_tower((1, 1), 2, 1) == {tw.linear_label((1,)): 1}
 
 
+@pytest.mark.parametrize("name", ["restrict_tower", "linear_tower"])
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2)])
+def test_tower_entry_checks_a_miss_and_answers_a_tuple_hit_unchecked(monkeypatch, name, p, k):
+    # both towers go through engine._tower: a list is checked and then hits
+    # the vector its tuple stored, and a hit on a tuple skips _check_size
+    monkeypatch.setattr(engine, "_full_memo", {})
+    monkeypatch.setattr(engine, "_lin_memo", {})
+    tower = getattr(engine, name)
+    la = (p**k - 2, 2)
+    vec = tower(la, p, k)
+    assert tower(list(la), p, k) is vec
+    for bad in ((3, 1), (1, p**k - 1)):
+        with pytest.raises(ValueError):
+            tower(bad, p, k)
+
+    def unreachable(*args):
+        raise AssertionError("a tuple memo hit was checked again")
+
+    monkeypatch.setattr(engine, "_check_size", unreachable)
+    assert tower(la, p, k) is vec
+
+
 def test_restrict_tower_square_of_two():
     want = {tw.linear_label((0, 0)): 1, tw.linear_label((1, 0)): 1}
     assert engine.restrict_tower((2, 2), 2, 2) == want
