@@ -10,8 +10,9 @@ independently of the engine so the two can be played against each other:
   * two_linear_classification / odd_prime_classification -- predicted
                               |Lin| classes (1, small exact value, or "more")
                               with the named witness sets where known;
-  * the structural predicates and witness tables used by the k=4
-                              classification argument;
+  * the structural predicates and the witness pairs used by the k=4
+                              classification argument, read from the
+                              family's one table, two_block_pairs;
   * the small share-sets of linear characters at n = p and in the narrow
                               boxes at n = p^k.
 """
@@ -36,6 +37,7 @@ from .partitions import (
     partitions,
     sylow_shape,
     two_block_decompose,
+    two_block_pairs,
 )
 from .tower import hook_to_linear
 
@@ -292,7 +294,8 @@ def witness_pair(k, la):
     """The (alpha, beta) pair of half-size shapes prescribed for la in the family.
 
     Both shapes are prescribed to satisfy c^la_{alpha,alpha} > 0 and
-    c^la_{beta,beta} > 0 with |Lin(alpha) u Lin(beta)| > 2 one level down.
+    c^la_{beta,beta} > 0 with |Lin(alpha) u Lin(beta)| > 2 one level down;
+    the row comes from two_block_pairs(k), keyed by two_block_decompose(la).
     Raises ValueError when la is outside the family, and also for the two
     boundary members ((2^k-3,3) and its conjugate) for which the prescription
     would need an out-of-range almost-hook coordinate and no valid pair
@@ -301,50 +304,18 @@ def witness_pair(k, la):
     la = check_partition(la)
     if k < 4:
         raise ValueError("the witness tables start at k = 4")
-    if not in_exceptional_family(la, k):
+    row = two_block_pairs(k).get(two_block_decompose(la)) if sum(la) == 2**k else None
+    if row is None:
         raise ValueError(f"{la} is not in the two-block family at 2^{k}")
-    mu1, nu = two_block_decompose(la)
+    z, x = row
     half = 2 ** (k - 1)
-    quarter = 2 ** (k - 2)
-    paired = {
-        (half, (3,)): hook(half, quarter - 1),
-        (half, (2, 2)): hook(half, quarter - 1),
-        (half - 1, (4,)): hook(half, quarter - 1),
-        (half - 1, (2, 2)): hook(half, quarter),
-        (half - 1, (2, 2, 2)): hook(half, quarter),
-        (half - 1, (3,)): hook(half, quarter),
-        (half - 1, (3, 2)): hook(half, quarter),
-    }
-    alpha = paired.get((mu1, nu))
-    if alpha is not None:
-        return alpha, almost_hook(half, quarter - 2)
-    if (mu1, nu) in (
-        (half, (4,)),
-        (half, (4, 2)),
-        (half - 1, (5,)),
-        (half - 1, (5, 2)),
-    ):
-        x = quarter - 3
-    elif (mu1, nu) in (
-        (half - 2, (2, 2, 2)),
-        (half - 2, (2, 2, 2, 2)),
-        (half - 3, (3, 2, 2)),
-        (half - 3, (3, 2, 2, 2)),
-    ):
-        x = quarter - 1
-    elif mu1 % 2 and nu in ((3,), (3, 2)):
-        x = half - (mu1 - 3) // 2 - 4
-    elif mu1 % 2 == 0 and nu == (2, 2):
-        x = half - mu1 // 2 - 2
-    else:
-        raise ValueError(f"no table row covers {la}")
     if not 0 <= x <= half - 4:
         raise ValueError(
             f"no valid prescription exists for {la}: the table coordinate {x} "
             f"is out of range (boundary member of the family)"
         )
-    alpha = almost_hook(half, x)
-    return alpha, alpha
+    beta = almost_hook(half, x)
+    return (beta if z is None else hook(half, z)), beta
 
 
 def cyclic_share_set(p, i):

@@ -39,10 +39,11 @@ made.  The odd-p stage is a derived extension validated against the
 brute-force oracle.)
 
 restrict_tower and linear_tower share one memo body, _tower, which checks
-the input on a miss, starts both towers from the leaf {(): 1} and checks
-every full vector against dimension conservation, its degree summed from
-the degrees of the ranked labels one level down.  Every divisibility is
-asserted; failures abort rather than round.
+the input on a miss, starts both towers from the leaf {(): 1} and stores
+what _level returns.  _level checks every full vector against dimension
+conservation, its degree summed from the degrees of the ranked labels one
+level down.  Every divisibility is asserted; failures abort rather than
+round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
@@ -98,16 +99,16 @@ def _check_size(la, p, k):
 
 
 def _level(la, p, k, full):
-    """One tower level of la and its degree: restrict_tower's if full, else linear_tower's.
+    """One tower level of la: restrict_tower's vector if full, else linear_tower's.
 
     The states map a remaining shape to (key -> weight, mu -> c of its
     constant chain).  On the full path a key is a tuple of label ranks,
     filled from the last block; on the linear path it is a label, kept only
     while every block has it (the diagonal).  Ranking the labels before the
-    first peel, the step that extends a key and turning the keys back into
-    labels are the only places where the two paths differ.  The degree is
-    summed over the output labels, on the full path from the degrees of
-    their ranks; every linear label has degree 1.
+    first peel, the steps that start and extend a key and turning the keys
+    back into labels are the only places where the two paths differ.  The
+    full path sums the degree of its output from the degrees of the ranks
+    and raises ArithmeticError unless it is the degree of la.
     """
     tower = restrict_tower if full else linear_tower
     m = p ** (k - 1)
@@ -120,11 +121,11 @@ def _level(la, p, k, full):
     # la's table is read once per level (the memos answer every repeat), so
     # the first peel walks it without the cache
     walk = ch.split_walk(la, m)
+    # by symmetry every mu of a later block is met in the first peel
+    for mu, _ in walk:
+        if mu not in subs:
+            subs[mu] = tower(mu, p, k - 1)
     if full:
-        # by symmetry every mu of a later block is met in the first peel
-        for mu, _ in walk:
-            if mu not in subs:
-                subs[mu] = tower(mu, p, k - 1)
         labels = sorted({lab for sub in subs.values() for lab in sub}, key=tw.label_text)
         rank = {lab: r for r, lab in enumerate(labels)}
         degs = [tw.label_degree(p, lab) for lab in labels]
@@ -133,19 +134,14 @@ def _level(la, p, k, full):
             mu: tuple(zip(*sorted((rank[lab], x) for lab, x in sub.items())))
             for mu, sub in subs.items()
         }
-        for (mu, nu), c in walk.items():
-            vec, chains = states[nu]
-            chains[mu] += c
+    for (mu, nu), c in walk.items():
+        vec, chains = states[nu]
+        chains[mu] += c
+        if full:
             for r, x in zip(*ranked[mu]):
                 vec[(r,)] += c * x
-    else:
-        for (mu, nu), c in walk.items():
-            sub = subs.get(mu)
-            if sub is None:
-                sub = subs[mu] = tower(mu, p, k - 1)
-            vec, chains = states[nu]
-            chains[mu] += c
-            for lab, x in sub.items():
+        else:
+            for lab, x in subs[mu].items():
                 vec[lab] += c * x
     for i in range(p - 2, -1, -1):
         merged = defaultdict(state)
@@ -179,13 +175,12 @@ def _level(la, p, k, full):
         for lab, x in zip(*ranked[mu]) if full else subs[mu].items():
             val[lab] += d * x
     if not full:
-        vec = {
+        return {
             lab + (t,): w
             for lab, n in vec.items()
             for t, w in enumerate(ch.cyclic_split(p, n, val[lab]))
             if w
         }
-        return vec, sum(vec.values())
     # one pass: the first-filled entry of a key is its least, so a constant
     # key is split over the twists, and of an orbit the least rotation is
     # kept, which starts with the least entry: this one if that is unique
@@ -203,7 +198,12 @@ def _level(la, p, k, full):
         if n == 1 or key == min(tw.rotations(key)):
             out[("orb", *map(labels.__getitem__, key))] = w
             total += p * w * prod(map(degs.__getitem__, key))
-    return out, total
+    if total != ch.sn_degree(la):
+        raise ArithmeticError(
+            f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
+            f"{total} != {ch.sn_degree(la)}"
+        )
+    return out
 
 
 def _tower(memo, la, p, k, full):
@@ -216,12 +216,7 @@ def _tower(memo, la, p, k, full):
     if hit is not None:
         return hit
     # tw.LEAF is the empty digit string, so both towers start from {(): 1}
-    vec, total = ({tw.LEAF: 1}, 1) if k == 0 else _level(la, p, k, full)
-    if full and total != ch.sn_degree(la):
-        raise ArithmeticError(
-            f"dimension conservation failed for {la} at (p,k)=({p},{k}): "
-            f"{total} != {ch.sn_degree(la)}"
-        )
+    vec = {tw.LEAF: 1} if k == 0 else _level(la, p, k, full)
     memo[p, k, la] = vec
     return vec
 

@@ -5,7 +5,8 @@ basic operations (conjugation, enumeration, text parsing) this module knows
 the special shapes that appear throughout the multiplicity formulas: hooks
 (n-x, 1^x), almost hooks (n-2-x, 2, 1^x), the square-box families B_n(t),
 the halving map delta on partitions of even numbers, and the exceptional
-two-block family used by the k=4 classification arguments.
+two-block family used by the k=4 classification arguments.  That family is
+one table, two_block_pairs, which also holds each member's witness row.
 """
 
 from functools import cache
@@ -123,12 +124,6 @@ def in_box(la, t):
     return (la[0] if la else 0) <= t and len(la) <= t
 
 
-def union_parts(*las):
-    """Multiset union of part lists, sorted back into a partition."""
-    merged = [part for la in las for part in la]
-    return tuple(sorted(merged, reverse=True))
-
-
 def delta(la):
     """Halve a partition of an even number part by part.
 
@@ -147,9 +142,9 @@ def delta(la):
 
 @cache
 def two_block_pairs(k):
-    """The (first part, middle block) pairs of the exceptional family at 2^k.
+    """The exceptional family at 2^k: (first part, middle block) -> witness row.
 
-    Members are the lambda = (mu1) U nu U (1^m) with m >= 0 from six families
+    Members are the lambda = (mu1, *nu, 1^m) with m >= 0 from six families
     (mu1 is the single leading part, nu the block of parts >= 2 after it):
 
       a) mu1 = 2^{k-1},     nu in {(3), (4), (4,2)}
@@ -159,29 +154,33 @@ def two_block_pairs(k):
       e) mu1 = 2r + 3 odd (r >= 0), nu in {(3), (3,2)}
       f) mu1 = 2r even (r >= 1),    nu = (2,2)
 
-    subject to mu1 >= nu_1 and mu1 + |nu| <= 2^k.
+    subject to mu1 >= nu_1 and mu1 + |nu| <= 2^k.  The row (z, x) of a
+    member names its self-pairing witnesses one level down: the hook
+    (2^{k-1} - z, 1^z) paired with the almost hook at x = 2^{k-2} - 2, or,
+    when z is None, the almost hook at x taken twice.  x may be out of
+    range, for the boundary members.  The dict is read-only.
     """
     n = 2**k
-    half = n // 2
-    raw = []
-    for nu in ((3,), (4,), (4, 2)):
-        raw.append((half, nu))
-    for nu in ((4,), (5,), (5, 2), (2, 2), (2, 2, 2)):
-        raw.append((half - 1, nu))
-    for nu in ((2, 2, 2), (2, 2, 2, 2)):
-        raw.append((half - 2, nu))
-    for nu in ((3, 2, 2), (3, 2, 2, 2)):
-        raw.append((half - 3, nu))
-    for r in range((n - 6) // 2 + 1):
-        raw.append((2 * r + 3, (3,)))
-        raw.append((2 * r + 3, (3, 2)))
-    for r in range(1, (n - 4) // 2 + 1):
-        raw.append((2 * r, (2, 2)))
-    pairs = set()
-    for mu1, nu in raw:
-        if mu1 >= nu[0] and mu1 >= 1 and mu1 + sum(nu) <= n:
-            pairs.add((mu1, nu))
-    return frozenset(pairs)
+    half, quarter = n // 2, n // 4
+    # the generic rows of (e) and (f) first; a later row overrides an earlier one
+    rows = {}
+    for r in range(half - 2):
+        rows[2 * r + 3, (3,)] = rows[2 * r + 3, (3, 2)] = (None, half - r - 4)
+        rows[2 * r + 2, (2, 2)] = (None, half - r - 3)
+    for mu1, nus, row in (
+        (half, ((4,), (4, 2)), (None, quarter - 3)),
+        (half - 1, ((5,), (5, 2)), (None, quarter - 3)),
+        (half - 2, ((2, 2, 2), (2, 2, 2, 2)), (None, quarter - 1)),
+        (half - 3, ((3, 2, 2), (3, 2, 2, 2)), (None, quarter - 1)),
+        (half, ((3,), (2, 2)), (quarter - 1, quarter - 2)),
+        (half - 1, ((4,),), (quarter - 1, quarter - 2)),
+        (half - 1, ((2, 2), (2, 2, 2), (3,), (3, 2)), (quarter, quarter - 2)),
+    ):
+        for nu in nus:
+            rows[mu1, nu] = row
+    return {
+        (mu1, nu): row for (mu1, nu), row in rows.items() if mu1 >= nu[0] and mu1 + sum(nu) <= n
+    }
 
 
 def two_block_decompose(la):
@@ -198,13 +197,8 @@ def in_exceptional_family(la, k):
 
 @cache
 def exceptional_family(k):
-    """The family at 2^k built directly from the (mu1, nu) pairs."""
-    n = 2**k
-    shapes = set()
-    for mu1, nu in two_block_pairs(k):
-        tail = n - mu1 - sum(nu)
-        shapes.add(union_parts((mu1,), nu, (1,) * tail))
-    return frozenset(shapes)
+    """The family at 2^k built directly from the (mu1, nu) keys of two_block_pairs."""
+    return frozenset((mu1, *nu) + (1,) * (2**k - mu1 - sum(nu)) for mu1, nu in two_block_pairs(k))
 
 
 def choose(a, b):

@@ -4,12 +4,12 @@ from sylowbranch import closedform as cf
 from sylowbranch import engine
 from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
-from sylowbranch.characters import plethysm_split, young_decompose
+from sylowbranch.characters import lr_coefficient, plethysm_split
 from sylowbranch.partitions import (
     almost_hook,
     conjugate,
+    exceptional_family,
     hook,
-    in_exceptional_family,
     partitions,
 )
 
@@ -229,25 +229,26 @@ def test_witness_pair_frozen_rows():
     assert beta == almost_hook(8, 2)
 
 
-def test_witness_pair_rows_are_valid():
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_witness_pair_rows_are_valid(k):
     # each prescribed half-shape really pairs with itself inside la, and the
-    # two linear sets together exceed two labels
-    boundary = {(13, 3), (2, 2, 2) + (1,) * 10}
-    for la in partitions(16):
-        if not in_exceptional_family(la, 4):
+    # two linear sets together exceed two labels; only the two boundary
+    # members, whose table coordinate is out of range, have no row to give
+    n = 2**k
+    raised = set()
+    for la in exceptional_family(k):
+        try:
+            alpha, beta = cf.witness_pair(k, la)
+        except ValueError:
+            raised.add(la)
             continue
-        if la in boundary:
-            with pytest.raises(ValueError):
-                cf.witness_pair(4, la)
-            continue
-        alpha, beta = cf.witness_pair(4, la)
-        dec = young_decompose(la, (8, 8))
-        assert dec.get((alpha, alpha), 0) > 0, la
-        assert dec.get((beta, beta), 0) > 0, la
+        assert lr_coefficient(la, alpha, alpha) > 0, la
+        assert lr_coefficient(la, beta, beta) > 0, la
         union = set(engine.lin_constituents(alpha, 2)) | set(
             engine.lin_constituents(beta, 2)
         )
         assert len(union) > 2, la
+    assert raised == {(n - 3, 3), (2, 2, 2) + (1,) * (n - 6)}
 
 
 def test_witness_pair_domain():

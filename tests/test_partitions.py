@@ -20,7 +20,7 @@ from sylowbranch.partitions import (
     partitions,
     sylow_shape,
     two_block_decompose,
-    union_parts,
+    two_block_pairs,
 )
 
 
@@ -120,11 +120,6 @@ def test_box_membership():
     assert not in_box((2, 1, 1, 1), 3)
 
 
-def test_union_parts():
-    assert union_parts((3, 1), (2, 1)) == (3, 2, 1, 1)
-    assert union_parts((), (4,)) == (4,)
-
-
 def test_delta_even_parts_halved():
     assert delta((4, 2)) == (2, 1)
     assert delta((6,)) == (3,)
@@ -173,6 +168,29 @@ def test_exceptional_family_size_and_membership():
     for la in fam:
         assert sum(la) == 16
         assert in_exceptional_family(la, 4)
+
+
+def _six_families(k):
+    """The family's (mu1, nu) pairs listed as two_block_pairs' docstring words them."""
+    n = 2**k
+    half = n // 2
+    raw = [(half, nu) for nu in ((3,), (4,), (4, 2))]
+    raw += [(half - 1, nu) for nu in ((4,), (5,), (5, 2), (2, 2), (2, 2, 2))]
+    raw += [(half - 2, nu) for nu in ((2, 2, 2), (2, 2, 2, 2))]
+    raw += [(half - 3, nu) for nu in ((3, 2, 2), (3, 2, 2, 2))]
+    raw += [(2 * r + 3, nu) for r in range(n) for nu in ((3,), (3, 2))]
+    raw += [(2 * r, (2, 2)) for r in range(1, n)]
+    return {(mu1, nu) for mu1, nu in raw if mu1 >= nu[0] and mu1 + sum(nu) <= n}
+
+
+def test_two_block_pairs_keys_are_the_six_families():
+    for k in range(3, 9):
+        pairs = two_block_pairs(k)
+        assert set(pairs) == _six_families(k), k
+        fam = exceptional_family(k)
+        assert len(fam) == len(pairs), k
+        for la in fam:
+            assert two_block_decompose(la) in pairs, (k, la)
 
 
 def test_exceptional_family_closed_under_stated_conjugates():
