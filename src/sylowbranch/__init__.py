@@ -25,7 +25,6 @@ from .characters import (
     stretch_coefficient,
 )
 from .tower import (
-    BudgetExceeded,
     hook_to_linear,
     irr_labels,
     label_degree,
@@ -43,6 +42,7 @@ from .engine import (
     restrict_tower,
     sbc,
 )
+from .oracle import BudgetExceeded
 from .closedform import (
     almost_hook_linear_set,
     almost_hook_sbc,

@@ -20,7 +20,7 @@ peel, a tuple grows only by entries that rank at least its first-filled
 (last) one, and one pass over the keys at the end keeps it if, rotated
 right by one, it is its least rotation.  That holds without comparing
 rotations when the least entry occurs once, as it always does at p = 2.
-tw.irr_labels enumerates the orbit labels of a level by the same rule.
+The rule lives here only; the tests hold it against tw.irr_labels.
 
 A constant tuple (l, ..., l) is one character of C_p per label: its weight
 is the degree, and its value on a generator is the sum over the constant
@@ -59,7 +59,8 @@ with one split_pairs, then multiply by the remaining shapes' products.
 linear_sylow memoises every such product on (p, la) in _lin_sylow_memo,
 so the sweeps that ask for one shape's linear constituents again read
 them; like every memoised vector here, its dicts are read-only.
-restrict_sylow keeps its products for one call only.
+restrict_sylow keeps its products for one call only.  Both reject
+|la| > CACHE_MAX_SIZE before the first split, as _tower rejects p^k above it.
 """
 
 import os
@@ -92,6 +93,9 @@ def _stage_a(la, p, k):
 
 
 def _check_size(la, p, k):
+    # k first, so that a huge k never builds p^k
+    if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
+        raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
     la = check_partition(la)
     if sum(la) != p**k:
         raise ValueError(f"|{la}| != {p}^{k}")
@@ -271,6 +275,14 @@ def _sylow_product(tower, la, p, heights, memo):
     return vec
 
 
+def _check_sylow(la, p):
+    """la checked as a partition of at most CACHE_MAX_SIZE, and its Sylow factor heights."""
+    la = check_partition(la)
+    if sum(la) > CACHE_MAX_SIZE:
+        raise ValueError(f"size {sum(la)} exceeds {CACHE_MAX_SIZE}")
+    return la, sylow_shape(sum(la), p)
+
+
 def restrict_sylow(la, p):
     """Decomposition of la over the full Sylow p-subgroup of S_|la|.
 
@@ -280,8 +292,8 @@ def restrict_sylow(la, p):
     repeat without reading _full_memo, whose growth is how the CLI decides
     to rewrite its cache file.
     """
-    la = check_partition(la)
-    return _sylow_product(restrict_tower, la, p, sylow_shape(sum(la), p), {})
+    la, heights = _check_sylow(la, p)
+    return _sylow_product(restrict_tower, la, p, heights, {})
 
 
 def linear_sylow(la, p):
@@ -290,8 +302,8 @@ def linear_sylow(la, p):
     Returns a read-only dict, memoized with the products of every remaining
     shape on (p, la) in _lin_sylow_memo.
     """
-    la = check_partition(la)
-    return _sylow_product(linear_tower, la, p, sylow_shape(sum(la), p), _lin_sylow_memo)
+    la, heights = _check_sylow(la, p)
+    return _sylow_product(linear_tower, la, p, heights, _lin_sylow_memo)
 
 
 def sbc(la, p, psi):
@@ -403,8 +415,6 @@ def load_cache(path):
         try:
             p, k = _json_int(entry["p"]), _json_int(entry["k"])
             check_prime(p)
-            if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
-                raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
             la = _check_size(entry["lambda"].split(","), p, k)
             if (p, k, la) in loaded:
                 raise ValueError(f"a second entry for p={p}, k={k}, {la}")

@@ -5,9 +5,12 @@ Two routes:
   * direct inner products over the Sylow subgroup, exact in the cyclotomic
     integers Z[zeta_p] (integer accumulators per power of zeta, reduced in
     the power basis; a result must come out rational-integral and divisible
-    by the group order).  The full oracle walks the explicit elements of the
-    tower; the linear one sums over (cycle type, signature) classes counted
-    by the wreath-product cycle-index recursion, so it builds no element;
+    by the group order).  The full oracle walks the elements of the tower
+    over tw.irr_labels, the labels' definition; the model of the tower as a
+    group (nested (children, top-cycle) pairs, their products, permutations
+    and cycle types; |P_n| and the element budget) lives here.  The linear
+    one sums over (cycle type, signature) classes counted by the
+    wreath-product cycle-index recursion, so it builds no element;
 
   * a monomial-expansion plethysm oracle for s_(2) o s_mu and s_(1,1) o s_mu
     with |mu| <= 4: expand s_mu as a sum of monomials over semistandard
@@ -20,12 +23,124 @@ paths in characters (only character values are shared, and those are pinned
 separately by orthogonality tests).
 """
 
+import os
 from collections import Counter, defaultdict
 from functools import cache
+from itertools import product
 
 from . import tower as tw
 from .characters import character_value, sn_degree
-from .partitions import check_partition, partitions, sylow_shape
+from .partitions import check_partition, check_prime, partitions, sylow_shape
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when the Sylow subgroup order |P_n| is over the configured budget."""
+
+
+# ------------------------------------------------------ the tower as a group
+
+def sylow_order(n, p):
+    """Order of the Sylow p-subgroup of S_n (Legendre's formula)."""
+    check_prime(p)
+    e = 0
+    q = p
+    while q <= n:
+        e += n // q
+        q *= p
+    return p**e
+
+
+@cache
+def tower_elements(p, k):
+    """All elements of the height-k tower as nested (children, s) pairs."""
+    if k == 0:
+        return ((),)
+    below = tower_elements(p, k - 1)
+    return tuple(
+        (children, s) for children in product(below, repeat=p) for s in range(p)
+    )
+
+
+def element_perm(p, el):
+    """The permutation of {0..p^k-1} an element induces, as a tuple of images.
+
+    Blocks of size p^{k-1} are rotated by the top cycle s and each image
+    block is then permuted by the corresponding child.
+    """
+    if el == ():
+        return (0,)
+    children, s = el
+    child_perms = [element_perm(p, c) for c in children]
+    m = len(child_perms[0])
+    perm = [0] * (p * m)
+    for i in range(p):
+        j = (i + s) % p
+        block = child_perms[j]
+        base = j * m
+        off = i * m
+        for r in range(m):
+            perm[off + r] = base + block[r]
+    return tuple(perm)
+
+
+def element_signature(p, el):
+    """Per-level digit sums (sigma_1, ..., sigma_k) mod p, innermost first.
+
+    A linear label with digits (d_1..d_k) takes the value
+    omega^(sum d_j sigma_j) at the element, omega a fixed primitive p-th
+    root of unity.
+    """
+    if el == ():
+        return ()
+    children, s = el
+    subs = [element_signature(p, c) for c in children]
+    levels = tuple(sum(col) % p for col in zip(*subs))
+    return levels + (s % p,)
+
+
+def element_mul(p, a, b):
+    """Group product: apply b first, then a."""
+    if a == ():
+        return ()
+    ach, asft = a
+    bch, bsft = b
+    children = tuple(
+        element_mul(p, ach[i], bch[(i - asft) % p]) for i in range(p)
+    )
+    return (children, (asft + bsft) % p)
+
+
+def perm_cycle_type(perm):
+    """Cycle type of a permutation given as a tuple of images."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        q = start
+        while not seen[q]:
+            seen[q] = True
+            q = perm[q]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def check_budget(n, p, budget=None):
+    """|P_n|, or BudgetExceeded when it is over the budget on |P_n|.
+
+    Both oracles call this first: the full oracle walks all |P_n| elements,
+    the linear one sums over the class counts of _signature_buckets.  An
+    explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is read,
+    and the default is 2^20.
+    """
+    if budget is None:
+        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
+    order = sylow_order(n, p)
+    if order > budget:
+        raise BudgetExceeded(f"|P_{n}| = {order} exceeds the element budget {budget}")
+    return order
 
 
 # ---------------------------------------------------------------- cyclotomics
@@ -128,7 +243,7 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
     la = check_partition(la)
     n = sum(la)
     psi = tw.linear_factors(psi, p, sylow_shape(n, p))
-    order = tw.check_budget(n, p, budget)
+    order = check_budget(n, p, budget)
     acc = [0] * p
     for (ct, sigs), count in _signature_buckets(n, p).items():
         chi = character_value(la, ct)
@@ -148,10 +263,7 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
 @cache
 def _tower_element_data(p, k):
     """(element, cycle type) for every element of the height-k tower."""
-    return tuple(
-        (el, tw.perm_cycle_type(tw.element_perm(p, el)))
-        for el in tw.tower_elements(p, k)
-    )
+    return tuple((el, perm_cycle_type(element_perm(p, el))) for el in tower_elements(p, k))
 
 
 @cache
@@ -185,7 +297,7 @@ def _label_value(p, label, el):
         return term
     q = children[0]
     for j in range(1, p):
-        q = tw.element_mul(p, children[(j * s) % p], q)
+        q = element_mul(p, children[(j * s) % p], q)
     return _zeta_mul_root(p, _label_value(p, inner, q), (t * s) % p)
 
 
@@ -201,7 +313,7 @@ def oracle_full_restriction(la, p, budget=None):
     if len(heights) != 1:
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]
-    order = tw.check_budget(n, p, budget)
+    order = check_budget(n, p, budget)
     chis = [(el, character_value(la, ct)) for el, ct in _tower_element_data(p, k)]
     support = [(el, chi) for el, chi in chis if chi]
     vec = {}

@@ -16,32 +16,20 @@ Linear labels are nested twist chains, identified with digit strings
 biject onto these digit strings: the hook (2^k - y, 1^y) goes to the bits of
 the reflected Gray code y ^ (y >> 1), most significant first, and the sign
 twist y -> 2^k - 1 - y flips the innermost digit.
-The module also provides the explicit permutation model of the tower inside
-S_{p^k} used by the full brute-force oracle, with elements carried as nested
-(children, top-cycle) pairs.
+The module is the label algebra only; the permutation model of the tower,
+which the brute-force oracle walks, lives in oracle.
 """
 
-import os
 from functools import cache
 from itertools import product
 from math import prod
 
-from .partitions import check_prime
-
 LEAF = ()
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when the Sylow subgroup order |P_n| is over the configured budget."""
 
 
 def twist(inner, t):
     """The label X(inner; phi_t)."""
     return (inner, t)
-
-
-def is_twist(label):
-    return len(label) == 2 and isinstance(label[1], int)
 
 
 def rotations(tup):
@@ -96,7 +84,7 @@ def linear_digits(label):
     """Digit string of a linear label, or None when the label is not linear."""
     digits = []
     while label != LEAF:
-        if not is_twist(label):
+        if is_orbit(label):
             return None
         label, d = label[0], label[1]
         digits.append(d)
@@ -137,22 +125,15 @@ def label_height(p, label):
 def irr_labels(p, k):
     """All irreducible-character labels of the height-k tower, sorted.
 
-    Count satisfies |Irr(k)| = (m^p - m)/p + p*m with m = |Irr(k-1)|.  The
-    induced labels follow engine._level's rule on the level below ranked by
-    label_text: a non-constant rank tuple is kept if its first entry is its
-    least and it is its least rotation, the one orbit picks.
+    By definition: the p twists of each label one level down, and orbit(t)
+    for every non-constant p-tuple t of those labels, sorted by (degree,
+    text).  Count satisfies |Irr(k)| = (m^p - m)/p + p*m with m = |Irr(k-1)|.
     """
     if k == 0:
         return (LEAF,)
-    below = sorted(irr_labels(p, k - 1), key=label_text)
-    labels = [twist(inner, t) for inner in below for t in range(p)]
-    for r in range(len(below)):
-        for rest in product(range(r, len(below)), repeat=p - 1):
-            key = (r, *rest)
-            # as in _level, a key whose least entry is unique is least
-            n = rest.count(r)
-            if not n or n < p - 1 and key == min(rotations(key)):
-                labels.append(("orb", *map(below.__getitem__, key)))
+    below = irr_labels(p, k - 1)
+    labels = {twist(inner, t) for inner in below for t in range(p)}
+    labels |= {orbit(t) for t in product(below, repeat=p) if len(set(t)) > 1}
     return tuple(sorted(labels, key=lambda lab: (label_degree(p, lab), label_text(lab))))
 
 
@@ -244,108 +225,3 @@ def sgn_twist(k, digits):
     """
     digits = _binary_digits(k, digits)
     return (1 - digits[0],) + digits[1:] if k else ()
-
-
-def sylow_order(n, p):
-    """Order of the Sylow p-subgroup of S_n (Legendre's formula)."""
-    check_prime(p)
-    e = 0
-    q = p
-    while q <= n:
-        e += n // q
-        q *= p
-    return p**e
-
-
-@cache
-def tower_elements(p, k):
-    """All elements of the height-k tower as nested (children, s) pairs."""
-    if k == 0:
-        return ((),)
-    below = tower_elements(p, k - 1)
-    return tuple(
-        (children, s) for children in product(below, repeat=p) for s in range(p)
-    )
-
-
-def element_perm(p, el):
-    """The permutation of {0..p^k-1} an element induces, as a tuple of images.
-
-    Blocks of size p^{k-1} are rotated by the top cycle s and each image
-    block is then permuted by the corresponding child.
-    """
-    if el == ():
-        return (0,)
-    children, s = el
-    child_perms = [element_perm(p, c) for c in children]
-    m = len(child_perms[0])
-    perm = [0] * (p * m)
-    for i in range(p):
-        j = (i + s) % p
-        block = child_perms[j]
-        base = j * m
-        off = i * m
-        for r in range(m):
-            perm[off + r] = base + block[r]
-    return tuple(perm)
-
-
-def element_signature(p, el):
-    """Per-level digit sums (sigma_1, ..., sigma_k) mod p, innermost first.
-
-    A linear label with digits (d_1..d_k) takes the value
-    omega^(sum d_j sigma_j) at the element, omega a fixed primitive p-th
-    root of unity.
-    """
-    if el == ():
-        return ()
-    children, s = el
-    subs = [element_signature(p, c) for c in children]
-    levels = tuple(sum(col) % p for col in zip(*subs))
-    return levels + (s % p,)
-
-
-def element_mul(p, a, b):
-    """Group product: apply b first, then a."""
-    if a == ():
-        return ()
-    ach, asft = a
-    bch, bsft = b
-    children = tuple(
-        element_mul(p, ach[i], bch[(i - asft) % p]) for i in range(p)
-    )
-    return (children, (asft + bsft) % p)
-
-
-def perm_cycle_type(perm):
-    """Cycle type of a permutation given as a tuple of images."""
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        q = start
-        while not seen[q]:
-            seen[q] = True
-            q = perm[q]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def check_budget(n, p, budget=None):
-    """|P_n|, or BudgetExceeded when it is over the budget on |P_n|.
-
-    Both oracles call this first: the full oracle walks all |P_n| elements,
-    the linear one sums over the class counts of _signature_buckets.  An
-    explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is read,
-    and the default is 2^20.
-    """
-    if budget is None:
-        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
-    order = sylow_order(n, p)
-    if order > budget:
-        raise BudgetExceeded(f"|P_{n}| = {order} exceeds the element budget {budget}")
-    return order
-

@@ -414,13 +414,15 @@ def run(names=None, **kwargs):
     """Run suites by name (all of them by default) and print labeled lines.
 
     Returns the list of Results.  Keyword arguments are forwarded to suites
-    that accept them (n_max, seed).
+    that accept them (n_max, seed).  An unknown name raises ValueError
+    before any suite runs.
     """
-    if names is None:
-        names = list(SUITES)
+    names = list(SUITES) if names is None else [ALIASES.get(name, name) for name in names]
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r} (available: {', '.join(SUITES)}, all)")
     results = []
     for name in names:
-        name = ALIASES.get(name, name)
         fn = SUITES[name]
         params = inspect.signature(fn).parameters
         accepted = {k: v for k, v in kwargs.items() if v is not None and k in params}

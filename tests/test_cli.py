@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylowbranch import cli, engine
-from sylowbranch import tower as tw
+from sylowbranch import oracle as orc
+from sylowbranch import verify as ver
 from sylowbranch.cli import main
 from sylowbranch.partitions import sylow_shape
 
@@ -165,22 +166,40 @@ def test_exit_code_domain_for_cache_io_and_recursion_depth(tmp_path):
         assert "Traceback" not in r.stderr
 
 
-def test_huge_lambda_text_is_rejected_before_it_is_expanded():
-    # under a 1 GB address-space cap, expanding the 10^9 parts would end in MemoryError
+def run_capped_cli(*args):
+    """The CLI in a child under a 1 GB address-space cap."""
     capped = (
         "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
         "runpy.run_module('sylowbranch.cli', run_name='__main__')"
     )
-    r = subprocess.run(
-        [sys.executable, "-c", capped, "lin", "--lambda", "1^1000000000"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", capped, *args], capture_output=True, text=True, timeout=120
     )
+
+
+def test_huge_lambda_text_is_rejected_before_it_is_expanded():
+    # under the cap, expanding the 10^9 parts would end in MemoryError
+    r = run_capped_cli("lin", "--lambda", "1^1000000000")
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
+def test_table_above_the_size_bound_is_rejected_before_its_header():
+    # under the cap, the k = 40 grid's first engine call would end in
+    # MemoryError after the header was printed
+    r = run_capped_cli("table", "--k", "40")
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
+def test_verify_run_rejects_an_unknown_suite_before_any_runs(capsys):
+    with pytest.raises(ValueError, match="unknown suite 'nosuite'"):
+        ver.run(["hook-grid", "nosuite"])
+    assert capsys.readouterr().out == ""
 
 
 def test_python_dash_m_package():
@@ -207,7 +226,7 @@ def test_budget_option_does_not_outlive_the_call(monkeypatch):
     monkeypatch.delenv("SYLOW_BRANCH_BUDGET", raising=False)
     assert main(["verify", "small-sets", "--budget", "0"]) == 0
     assert "SYLOW_BRANCH_BUDGET" not in os.environ
-    assert tw.check_budget(4, 2) == 8
+    assert orc.check_budget(4, 2) == 8
 
 
 def test_exit_code_verification_failure():

@@ -165,6 +165,28 @@ def test_sbc_size_validation():
         engine.sbc((3, 1), 2, (0, 0, 0))
 
 
+def test_inputs_above_the_size_bound_are_rejected_before_any_split(monkeypatch):
+    # (2^40 - 2, 2) used to raise MemoryError in split_walk's cell list
+    def unreachable(*args):
+        raise AssertionError("an input above the bound reached a split")
+
+    monkeypatch.setattr(characters, "split_walk", unreachable)
+    monkeypatch.setattr(characters, "split_pairs", unreachable)
+    bound = f"exceeds {engine.CACHE_MAX_SIZE}"
+    big = (2**40 - 2, 2)
+    for fn in (engine.linear_sylow, engine.restrict_sylow):
+        with pytest.raises(ValueError, match=bound):
+            fn(big, 2)
+        with pytest.raises(ValueError, match=bound):
+            fn((engine.CACHE_MAX_SIZE - 1, 2), 3)
+    # k is bounded before p^k is built
+    for tower in (engine.restrict_tower, engine.linear_tower):
+        for k in (13, 40, 10**12):
+            with pytest.raises(ValueError, match=bound):
+                tower(big, 2, k)
+    assert engine._check_size((engine.CACHE_MAX_SIZE,), 2, 12) == (engine.CACHE_MAX_SIZE,)
+
+
 def test_lin_constituents_remark_values():
     got = engine.lin_constituents((5, 3), 2)
     assert got == {(tw.hook_to_linear(3, 1),): 1, (tw.hook_to_linear(3, 2),): 1}

@@ -91,9 +91,9 @@ def test_linear_oracle_validates_label_shape():
 
 
 def test_oracle_budget():
-    with pytest.raises(tw.BudgetExceeded):
+    with pytest.raises(orc.BudgetExceeded):
         orc.oracle_linear_multiplicity((8,), 2, (0, 0, 0), budget=4)
-    with pytest.raises(tw.BudgetExceeded):
+    with pytest.raises(orc.BudgetExceeded):
         orc.oracle_full_restriction((8,), 2, budget=4)
 
 
@@ -102,15 +102,15 @@ def test_explicit_budget_beats_environment(monkeypatch):
     orc._signature_buckets.cache_clear()
     assert orc.oracle_linear_multiplicity((4,), 2, (0, 0), budget=8) == 1
     assert orc.oracle_full_restriction((4,), 2, budget=8) == {tw.linear_label((0, 0)): 1}
-    with pytest.raises(tw.BudgetExceeded):
+    with pytest.raises(orc.BudgetExceeded):
         orc.oracle_linear_multiplicity((4,), 2, (0, 0))
 
 
 def _element_buckets(p, k):
     """(cycle type, level signature) counts over the tower, element by element."""
     return Counter(
-        (tw.perm_cycle_type(tw.element_perm(p, el)), tw.element_signature(p, el))
-        for el in tw.tower_elements(p, k)
+        (orc.perm_cycle_type(orc.element_perm(p, el)), orc.element_signature(p, el))
+        for el in orc.tower_elements(p, k)
     )
 
 
@@ -129,7 +129,7 @@ def test_signature_buckets_are_the_factor_product():
             want[ct, tuple(sig for (_, sig), _ in combo)] += math.prod(c for _, c in combo)
         got = orc._signature_buckets(n, p)
         assert got == want, (n, p)
-        assert sum(got.values()) == tw.sylow_order(n, p)
+        assert sum(got.values()) == orc.sylow_order(n, p)
 
 
 def test_linear_oracle_matches_engine_at_bench_sizes():
@@ -140,7 +140,7 @@ def test_linear_oracle_matches_engine_at_bench_sizes():
         for la in rng.sample(partitions(n), 2):
             for _ in range(3):
                 psi = tuple(tuple(rng.randrange(p) for _ in range(h)) for h in sylow_shape(n, p))
-                got = orc.oracle_linear_multiplicity(la, p, psi, budget=tw.sylow_order(n, p))
+                got = orc.oracle_linear_multiplicity(la, p, psi, budget=orc.sylow_order(n, p))
                 assert got == engine.sbc(la, p, psi), (la, psi)
 
 
@@ -158,7 +158,7 @@ def test_norm_identity_over_cycle_types():
             counts[ct] += c
         total = sum(c * character_value(la, ct) ** 2 for ct, c in counts.items())
         norm = sum(m * m for m in engine.restrict_sylow(la, p).values())
-        assert total == tw.sylow_order(n, p) * norm, (la, p)
+        assert total == orc.sylow_order(n, p) * norm, (la, p)
 
 
 def test_kostka_numbers():

@@ -25,7 +25,7 @@ def test_irr_label_counts():
 def test_degree_squares_sum_to_group_order():
     for p, kmax in ((2, 4), (3, 2)):
         for k in range(kmax + 1):
-            order = tw.sylow_order(p**k, p)
+            order = orc.sylow_order(p**k, p)
             total = sum(tw.label_degree(p, lab) ** 2 for lab in tw.irr_labels(p, k))
             assert total == order, (p, k)
 
@@ -66,16 +66,31 @@ def test_orbit_canonical_rotation():
     assert tw.orbit((low, high)) == tw.orbit((high, low))
 
 
+def _rank_space_labels(p, k):
+    """engine._level's orbit rule, enumerated on the level below ranked by label_text.
+
+    A non-constant rank tuple is kept if its first entry is its least and it
+    is its least rotation; that holds without comparing rotations when the
+    least entry occurs once.
+    """
+    below = sorted(tw.irr_labels(p, k - 1), key=tw.label_text)
+    labels = [tw.twist(inner, t) for inner in below for t in range(p)]
+    for r in range(len(below)):
+        for rest in product(range(r, len(below)), repeat=p - 1):
+            key = (r, *rest)
+            n = rest.count(r)
+            if not n or n < p - 1 and key == min(tw.rotations(key)):
+                labels.append(("orb", *map(below.__getitem__, key)))
+    return tuple(sorted(labels, key=lambda lab: (tw.label_degree(p, lab), tw.label_text(lab))))
+
+
 def test_irr_labels_match_brute_force_orbits():
-    # the twists plus orbit() of every non-constant p-tuple, deduplicated;
-    # (3, 3) and (5, 2) have 1,632 and 624 orbit labels
-    for p, kmax in ((2, 4), (3, 3), (5, 2)):
+    # irr_labels is the definition (the twists plus orbit() of every
+    # non-constant p-tuple); _level's rank-space rule must give the same
+    # labels; (3, 3) and (5, 2) have 1,632 and 624 orbit labels
+    for p, kmax in ((2, 5), (3, 3), (5, 2)):
         for k in range(1, kmax + 1):
-            below = tw.irr_labels(p, k - 1)
-            labels = {tw.twist(inner, t) for inner in below for t in range(p)}
-            labels |= {tw.orbit(combo) for combo in product(below, repeat=p) if len(set(combo)) > 1}
-            want = sorted(labels, key=lambda lab: (tw.label_degree(p, lab), tw.label_text(lab)))
-            assert tw.irr_labels(p, k) == tuple(want), (p, k)
+            assert _rank_space_labels(p, k) == tw.irr_labels(p, k), (p, k)
 
 
 def test_label_height():
@@ -270,21 +285,21 @@ def test_sign_twist_involution_and_fixed_point_free():
 
 
 def test_sylow_order():
-    assert tw.sylow_order(4, 2) == 8
-    assert tw.sylow_order(8, 2) == 128
-    assert tw.sylow_order(9, 3) == 81
-    assert tw.sylow_order(12, 2) == 1024
-    assert tw.sylow_order(5, 7) == 1
+    assert orc.sylow_order(4, 2) == 8
+    assert orc.sylow_order(8, 2) == 128
+    assert orc.sylow_order(9, 3) == 81
+    assert orc.sylow_order(12, 2) == 1024
+    assert orc.sylow_order(5, 7) == 1
 
 
 def test_sylow_order_rejects_non_prime():
     # in a child process, so that a regression to the endless q *= p loop
     # at p = 1 or p = 0 fails on the timeout instead of hanging the suite
     code = (
-        "from sylowbranch import tower as tw\n"
+        "from sylowbranch import oracle as orc\n"
         "for n, p in ((3, 1), (5, 0), (5, 4), (9, 9)):\n"
         "    try:\n"
-        "        tw.sylow_order(n, p)\n"
+        "        orc.sylow_order(n, p)\n"
         "    except ValueError as exc:\n"
         "        assert 'prime' in str(exc)\n"
         "    else:\n"
@@ -296,25 +311,25 @@ def test_sylow_order_rejects_non_prime():
 
 def test_tower_element_count_and_identity():
     for p, k in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        els = tw.tower_elements(p, k)
-        assert len(els) == tw.sylow_order(p**k, p)
+        els = orc.tower_elements(p, k)
+        assert len(els) == orc.sylow_order(p**k, p)
 
 
 def test_element_perms_form_a_group():
     # closure under composition and valid permutations, p=2 k=2 and p=3 k=1
     for p, k in ((2, 2), (3, 1)):
-        els = tw.tower_elements(p, k)
-        perms = {tw.element_perm(p, el) for el in els}
+        els = orc.tower_elements(p, k)
+        perms = {orc.element_perm(p, el) for el in els}
         assert len(perms) == len(els)
         n = p**k
         for perm in perms:
             assert sorted(perm) == list(range(n))
         for a in els:
             for b in els:
-                ab = tw.element_mul(p, a, b)
-                pa, pb = tw.element_perm(p, a), tw.element_perm(p, b)
+                ab = orc.element_mul(p, a, b)
+                pa, pb = orc.element_perm(p, a), orc.element_perm(p, b)
                 composed = tuple(pa[pb[i]] for i in range(n))
-                assert tw.element_perm(p, ab) == composed
+                assert orc.element_perm(p, ab) == composed
                 assert ab in els
 
 
@@ -322,12 +337,12 @@ def test_element_signature_is_a_homomorphism_coordinate():
     # the signature sums each level's digits; it must match the abelianized
     # product rule on a sample
     p, k = 2, 2
-    els = tw.tower_elements(p, k)
+    els = orc.tower_elements(p, k)
     for a in els:
         for b in els:
-            sa = tw.element_signature(p, a)
-            sb = tw.element_signature(p, b)
-            sab = tw.element_signature(p, tw.element_mul(p, a, b))
+            sa = orc.element_signature(p, a)
+            sb = orc.element_signature(p, b)
+            sab = orc.element_signature(p, orc.element_mul(p, a, b))
             assert sab == tuple((x + y) % p for x, y in zip(sa, sb))
 
 
@@ -341,7 +356,7 @@ def test_d8_cycle_type_census():
 def test_sylow_elements_composite_n():
     # P_6 = P_2 x P_4 has order 16; signatures carry one tuple per factor
     buckets = orc._signature_buckets(6, 2)
-    assert sum(buckets.values()) == tw.sylow_order(6, 2) == 16
+    assert sum(buckets.values()) == orc.sylow_order(6, 2) == 16
     for ct, sigs in buckets:
         assert sum(ct) == 6
         assert len(sigs) == 2
@@ -349,8 +364,8 @@ def test_sylow_elements_composite_n():
 
 
 def test_budget_enforced(monkeypatch):
-    with pytest.raises(tw.BudgetExceeded):
-        tw.check_budget(16, 2, budget=100)
+    with pytest.raises(orc.BudgetExceeded):
+        orc.check_budget(16, 2, budget=100)
     monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "4")
-    with pytest.raises(tw.BudgetExceeded):
-        tw.check_budget(4, 2)
+    with pytest.raises(orc.BudgetExceeded):
+        orc.check_budget(4, 2)
