@@ -10,10 +10,11 @@ Commands:
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
-label, size mismatch, a partition of more than 4096, table --k below 2 or
-above 12, verify --n-max below 4, p not a prime, corrupt cache, a cache
-file that cannot be read or written, input too large for the recursion
-depth), 3 oracle budget on |P_n| exceeded, 4 verification failure.
+label, size mismatch, a partition of more than 4096, classify --n above
+4096, table --k below 2 or above 12, verify --n-max below 4, p not a
+prime, corrupt cache, a cache file that cannot be read or written, input
+too large for the recursion depth), 3 oracle budget on |P_n| exceeded, 4
+verification failure.
 
 Only restrict reads and writes the --cache file; it writes it only when the
 file is new or the run computed a full vector the file did not hold.  lin

@@ -11,10 +11,14 @@ independently of the engine so the two can be played against each other:
                               |Lin| classes (1, small exact value, or "more")
                               with the named witness sets where known;
   * the structural predicates and the witness pairs used by the k=4
-                              classification argument, read from the
-                              family's one table, two_block_pairs;
+                              classification argument: membership in and
+                              rows of two_block_pairs, keyed by member;
   * the small share-sets of linear characters at n = p and in the narrow
                               boxes at n = p^k.
+
+Each table fact is written once.  odd_prime_classification's power case
+reads its counts from narrow_box_lin_set, and two_linear_classification
+reads the almost-hook midpoint pair from almost_hook_linear_set.
 """
 
 from collections import namedtuple
@@ -23,6 +27,7 @@ from functools import cache
 from . import characters as ch
 from . import oracle
 from .partitions import (
+    CACHE_MAX_SIZE,
     almost_hook,
     almost_hook_coordinate,
     check_partition,
@@ -33,10 +38,8 @@ from .partitions import (
     hook,
     hook_coordinate,
     in_box,
-    in_exceptional_family,
     partitions,
     sylow_shape,
-    two_block_decompose,
     two_block_pairs,
 )
 from .tower import hook_to_linear
@@ -157,9 +160,8 @@ def two_linear_classification(n, la):
         t = hook_coordinate(la)
         if t is not None:
             return Outcome("1", "power-hook", ((hook_to_linear(k, t),),))
-        half = n // 2
-        if la == almost_hook(n, half - 2):
-            ys = (half - 2, half + 1)
+        if la == almost_hook(n, n // 2 - 2):
+            _, ys = almost_hook_linear_set(k, n // 2 - 2)
             return Outcome(
                 "2", "power-almost-hook", tuple((hook_to_linear(k, y),) for y in ys)
             )
@@ -190,10 +192,12 @@ def two_linear_classification(n, la):
 
 
 def check_classification_domain(p, n):
-    """Raise ValueError unless p is a prime, n >= 1 and, for odd p, n >= p."""
+    """Raise ValueError unless p is a prime, 1 <= n <= CACHE_MAX_SIZE and, for odd p, n >= p."""
     check_prime(p)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if n > CACHE_MAX_SIZE:
+        raise ValueError(f"n={n} exceeds {CACHE_MAX_SIZE}")
     if p > 2 and n < p:
         raise ValueError(f"n={n} has a trivial Sylow {p}-subgroup")
 
@@ -202,9 +206,9 @@ def odd_prime_classification(p, n, la):
     """Predicted number of linear constituents for an odd prime p.
 
     Exact values are "1" for the trivial row/column, the exact count for
-    p <= n < 2p, p-1 and p in the narrow boxes at n = p^k and just above a
-    p-power, the sporadic square at (p, n) = (3, 9), and ">p" in all
-    remaining cases.
+    p <= n < 2p, p-1 and p in the narrow boxes at n = p^k (the sizes of
+    the sets narrow_box_lin_set predicts) and just above a p-power, the
+    sporadic square at (p, n) = (3, 9), and ">p" in all remaining cases.
 
     For p <= n < 2p the Sylow subgroup is cyclic, generated by a p-cycle g,
     and the count is the number of nonzero entries of
@@ -224,13 +228,13 @@ def odd_prime_classification(p, n, la):
         val = ch.character_value(la, (p,) + (1,) * (n - p))
         count = sum(map(bool, ch.cyclic_split(p, deg, val)))
         return Outcome(str(count), "cyclic", None)
-    if len(sylow_shape(n, p)) == 1:
-        if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
-            return Outcome(str(p - 1), "subhook", None)
+    heights = sylow_shape(n, p)
+    if len(heights) == 1:
         if p == 3 and n == 9 and la == (3, 3, 3):
             return Outcome(str(p), "square-sporadic", None)
-        if in_box(la, n - 2) and not in_box(la, n - p):
-            return Outcome(str(p), "narrow-box", None)
+        lin = narrow_box_lin_set(p, heights[0], la)
+        if lin is not None:
+            return Outcome(str(len(lin)), "narrow-box" if len(lin) == p else "subhook", None)
         return Outcome(">p", "power-generic", None)
     if any(len(sylow_shape(n - i, p)) == 1 and n - i >= p for i in range(1, p)):
         if in_box(la, n - 1) and not in_box(la, n - p):
@@ -286,7 +290,7 @@ def exceptional_shape(k, la):
     return (
         hook_coordinate(la) is not None
         or almost_hook_coordinate(la) is not None
-        or in_exceptional_family(la, k)
+        or la in two_block_pairs(k)
     )
 
 
@@ -295,7 +299,7 @@ def witness_pair(k, la):
 
     Both shapes are prescribed to satisfy c^la_{alpha,alpha} > 0 and
     c^la_{beta,beta} > 0 with |Lin(alpha) u Lin(beta)| > 2 one level down;
-    the row comes from two_block_pairs(k), keyed by two_block_decompose(la).
+    the row is la's entry in two_block_pairs(k).
     Raises ValueError when la is outside the family, and also for the two
     boundary members ((2^k-3,3) and its conjugate) for which the prescription
     would need an out-of-range almost-hook coordinate and no valid pair
@@ -304,7 +308,7 @@ def witness_pair(k, la):
     la = check_partition(la)
     if k < 4:
         raise ValueError("the witness tables start at k = 4")
-    row = two_block_pairs(k).get(two_block_decompose(la)) if sum(la) == 2**k else None
+    row = two_block_pairs(k).get(la)
     if row is None:
         raise ValueError(f"{la} is not in the two-block family at 2^{k}")
     z, x = row

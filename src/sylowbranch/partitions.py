@@ -6,7 +6,7 @@ the special shapes that appear throughout the multiplicity formulas: hooks
 (n-x, 1^x), almost hooks (n-2-x, 2, 1^x), the square-box families B_n(t),
 the halving map delta on partitions of even numbers, and the exceptional
 two-block family used by the k=4 classification arguments.  That family is
-one table, two_block_pairs, which also holds each member's witness row.
+one table, two_block_pairs, from each member to its witness row.
 """
 
 from functools import cache
@@ -142,9 +142,9 @@ def delta(la):
 
 @cache
 def two_block_pairs(k):
-    """The exceptional family at 2^k: (first part, middle block) -> witness row.
+    """The exceptional family at 2^k: member -> witness row.
 
-    Members are the lambda = (mu1, *nu, 1^m) with m >= 0 from six families
+    Members are the lambda = (mu1, *nu, 1^m) of 2^k, m >= 0, from six families
     (mu1 is the single leading part, nu the block of parts >= 2 after it):
 
       a) mu1 = 2^{k-1},     nu in {(3), (4), (4,2)}
@@ -179,26 +179,10 @@ def two_block_pairs(k):
         for nu in nus:
             rows[mu1, nu] = row
     return {
-        (mu1, nu): row for (mu1, nu), row in rows.items() if mu1 >= nu[0] and mu1 + sum(nu) <= n
+        (mu1, *nu) + (1,) * (n - mu1 - sum(nu)): row
+        for (mu1, nu), row in rows.items()
+        if mu1 >= nu[0] and mu1 + sum(nu) <= n
     }
-
-
-def two_block_decompose(la):
-    """Split la as (first part, block of later parts >= 2); the 1-tail is implied."""
-    if not la:
-        raise ValueError("empty partition has no leading part")
-    return la[0], tuple(part for part in la[1:] if part >= 2)
-
-
-def in_exceptional_family(la, k):
-    """Membership of la (a partition of 2^k) in the two-block family."""
-    return tuple(la) in exceptional_family(k)
-
-
-@cache
-def exceptional_family(k):
-    """The family at 2^k built directly from the (mu1, nu) keys of two_block_pairs."""
-    return frozenset((mu1, *nu) + (1,) * (2**k - mu1 - sum(nu)) for mu1, nu in two_block_pairs(k))
 
 
 def choose(a, b):

@@ -22,15 +22,7 @@ from . import engine
 from . import oracle
 from . import tower as tw
 from .characters import lr_coefficient, plethysm_split, sn_degree
-from .partitions import (
-    almost_hook,
-    conjugate,
-    delta,
-    exceptional_family,
-    hook,
-    partitions,
-    sylow_shape,
-)
+from .partitions import almost_hook, conjugate, delta, hook, partitions, sylow_shape, two_block_pairs
 
 Result = namedtuple("Result", "name ok detail")
 
@@ -98,18 +90,15 @@ def small_sets():
     """The four printed Lin sets, every multiplicity 1.
 
     The three sporadic shapes of 8 over the 2^3 tower and (3,3,3) over
-    P_9 = P_1 x P_8.
+    P_9 = P_1 x P_8, each against the witnesses two_linear_classification
+    predicts.
     """
     failures = []
-    for la, ys in cf.EIGHT_SPORADIC.items():
-        want = {(tw.hook_to_linear(3, y),): 1 for y in ys}
+    for la in (*cf.EIGHT_SPORADIC, (3, 3, 3)):
+        want = dict.fromkeys(cf.two_linear_classification(sum(la), la).witnesses, 1)
         got = engine.lin_constituents(la, 2)
         if got != want:
             failures.append(f"{la}: {got} != {want}")
-    want = {((), tw.hook_to_linear(3, y)): 1 for y in (2, 5)}
-    got = engine.lin_constituents((3, 3, 3), 2)
-    if got != want:
-        failures.append(f"(3,3,3): {got} != {want}")
     return _result("small-sets", failures, "four printed Lin sets exact, all multiplicities 1")
 
 
@@ -271,7 +260,7 @@ def _structure_equivalence():
 
 def _structure_tables():
     failures = []
-    for la in sorted(exceptional_family(4)):
+    for la in sorted(two_block_pairs(4)):
         try:
             alpha, beta = cf.witness_pair(4, la)
         except ValueError:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sylowbranch import cli, engine
+from sylowbranch import closedform as cf
 from sylowbranch import oracle as orc
 from sylowbranch import verify as ver
 from sylowbranch.cli import main
@@ -194,6 +195,41 @@ def test_table_above_the_size_bound_is_rejected_before_its_header():
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
+def test_classify_above_the_size_bound_is_rejected_before_its_header():
+    # under the cap, listing every partition of 5000 would end in
+    # MemoryError after the header was printed
+    r = run_capped_cli("classify", "--n", "5000")
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
+def test_unknown_table_and_misplaced_hook_form_are_domain_errors(capsys):
+    # the y= form names a hook of a single 2-power tower: not p = 3, not n = 3
+    for args, message in (
+        (["table", "nosuch"], "unknown table 'nosuch'"),
+        (["sbc", "--p", "3", "--lambda", "3", "--linear", "y=1"], "y= form needs p=2"),
+        (["sbc", "--lambda", "3", "--linear", "y=1"], "y= form needs p=2"),
+    ):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, args
+        assert message in captured.err, args
+
+
+def test_classify_mismatch_is_a_verification_failure(monkeypatch, capsys):
+    def mismatch(p, n, la):
+        return cf.two_linear_classification(n, la), 0, False
+
+    monkeypatch.setattr(ver, "check_classification", mismatch)
+    assert main(["classify", "--n", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.count("\tMISMATCH\n") == 5
+    assert captured.err == "error: 5 classification mismatches\n"
 
 
 def test_verify_run_rejects_an_unknown_suite_before_any_runs(capsys):

@@ -8,9 +8,9 @@ from sylowbranch.characters import lr_coefficient, plethysm_split
 from sylowbranch.partitions import (
     almost_hook,
     conjugate,
-    exceptional_family,
     hook,
     partitions,
+    two_block_pairs,
 )
 
 
@@ -157,6 +157,27 @@ def test_odd_prime_classification_cases():
     assert cf.odd_prime_classification(5, 25, (24, 1)).count == "4"
 
 
+def _power_case(p, n, la):
+    """(count, case) at n = p^k from the two narrow-box predicates, stated anew."""
+    if la in ((n,), (1,) * n):
+        return "1", "trivial"
+    if (p, la) == (3, (3, 3, 3)):
+        return "3", "square-sporadic"
+    if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
+        return str(p - 1), "subhook"
+    width = max(la[0], len(la))
+    if n - p < width <= n - 2:
+        return str(p), "narrow-box"
+    return ">p", "power-generic"
+
+
+@pytest.mark.parametrize("p, n", [(3, 9), (3, 27), (5, 25), (7, 49)])
+def test_odd_prime_power_cases_match_the_box_predicates(p, n):
+    for la in partitions(n):
+        out = cf.odd_prime_classification(p, n, la)
+        assert (out.count, out.case) == _power_case(p, n, la), la
+
+
 def test_odd_prime_classification_domain():
     with pytest.raises(ValueError):
         cf.odd_prime_classification(2, 8, (4, 4))
@@ -236,7 +257,7 @@ def test_witness_pair_rows_are_valid(k):
     # members, whose table coordinate is out of range, have no row to give
     n = 2**k
     raised = set()
-    for la in exceptional_family(k):
+    for la in two_block_pairs(k):
         try:
             alpha, beta = cf.witness_pair(k, la)
         except ValueError:

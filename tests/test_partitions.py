@@ -10,16 +10,13 @@ from sylowbranch.partitions import (
     check_prime,
     conjugate,
     delta,
-    exceptional_family,
     format_partition,
     hook,
     hook_coordinate,
     in_box,
-    in_exceptional_family,
     parse_partition,
     partitions,
     sylow_shape,
-    two_block_decompose,
     two_block_pairs,
 )
 
@@ -145,15 +142,8 @@ def test_delta_needs_even_size():
         delta((3,))
 
 
-def test_two_block_decompose():
-    assert two_block_decompose((6, 2)) == (6, (2,))
-    assert two_block_decompose((8, 3, 1, 1)) == (8, (3,))
-    assert two_block_decompose((5,)) == (5, ())
-    assert two_block_decompose((2, 2, 2, 1)) == (2, (2, 2))
-
-
 def test_exceptional_family_size_and_membership():
-    fam = exceptional_family(4)
+    fam = two_block_pairs(4)
     assert len(fam) == 29
     # one member of each defining row
     assert (8, 3, 1, 1, 1, 1, 1) in fam
@@ -164,14 +154,14 @@ def test_exceptional_family_size_and_membership():
     assert (13, 3) in fam
     assert (2, 2, 2) + (1,) * 10 in fam
     assert (16,) not in fam
-    assert not in_exceptional_family((6, 6, 4), 4)
+    assert (6, 6, 4) not in fam
     for la in fam:
         assert sum(la) == 16
-        assert in_exceptional_family(la, 4)
+        assert check_partition(la) == la
 
 
 def _six_families(k):
-    """The family's (mu1, nu) pairs listed as two_block_pairs' docstring words them."""
+    """The family's members listed as two_block_pairs' docstring words them."""
     n = 2**k
     half = n // 2
     raw = [(half, nu) for nu in ((3,), (4,), (4, 2))]
@@ -180,17 +170,16 @@ def _six_families(k):
     raw += [(half - 3, nu) for nu in ((3, 2, 2), (3, 2, 2, 2))]
     raw += [(2 * r + 3, nu) for r in range(n) for nu in ((3,), (3, 2))]
     raw += [(2 * r, (2, 2)) for r in range(1, n)]
-    return {(mu1, nu) for mu1, nu in raw if mu1 >= nu[0] and mu1 + sum(nu) <= n}
+    return {
+        (mu1, *nu) + (1,) * (n - mu1 - sum(nu))
+        for mu1, nu in raw
+        if mu1 >= nu[0] and mu1 + sum(nu) <= n
+    }
 
 
 def test_two_block_pairs_keys_are_the_six_families():
     for k in range(3, 9):
-        pairs = two_block_pairs(k)
-        assert set(pairs) == _six_families(k), k
-        fam = exceptional_family(k)
-        assert len(fam) == len(pairs), k
-        for la in fam:
-            assert two_block_decompose(la) in pairs, (k, la)
+        assert set(two_block_pairs(k)) == _six_families(k), k
 
 
 def test_exceptional_family_closed_under_stated_conjugates():
