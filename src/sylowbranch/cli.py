@@ -11,10 +11,10 @@ Commands:
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
 label, size mismatch, a partition of more than 4096, classify --n above
-4096, table --k below 2 or above 12, verify --n-max below 4, p not a
+60, table --k below 2 or above 12, verify --n-max below 4, p not a
 prime, corrupt cache, a cache file that cannot be read or written, input
-too large for the recursion depth), 3 oracle budget on |P_n| exceeded, 4
-verification failure.
+too large for the recursion depth or for memory), 3 oracle budget on |P_n|
+exceeded, 4 verification failure.
 
 Only restrict reads and writes the --cache file; it writes it only when the
 file is new or the run computed a full vector the file did not hold.  lin
@@ -44,6 +44,10 @@ USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 BUDGET_EXIT = 3
 VERIFY_EXIT = 4
+
+# classify lists every partition of n before its first row; the 966,467 of
+# n = 60 take about 490 MB, and each further n about a sixth more
+CLASSIFY_MAX_N = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,9 +146,13 @@ def cmd_restrict(args):
 def cmd_classify(args):
     p, n = args.p, args.n
     cf.check_classification_domain(p, n)
+    if n > CLASSIFY_MAX_N:
+        raise ValueError(f"input too large: classify --n above {CLASSIFY_MAX_N} lists over a million shapes")
+    # listed before the header, so that running out of memory leaves stdout empty
+    shapes = partitions(n)
     print("lambda\tengine\tpredicted\tcase\tstatus")
     mismatches = 0
-    for la in partitions(n):
+    for la in shapes:
         out, cnt, ok = ver.check_classification(p, n, la)
         mismatches += not ok
         flag = "ok" if ok else "MISMATCH"
@@ -250,6 +258,9 @@ def main(argv=None):
         return DOMAIN_EXIT
     except RecursionError:
         print(f"error: input too large: recursion deeper than {sys.getrecursionlimit()}", file=sys.stderr)
+        return DOMAIN_EXIT
+    except MemoryError:
+        print("error: input too large: out of memory", file=sys.stderr)
         return DOMAIN_EXIT
     finally:
         if saved is None:

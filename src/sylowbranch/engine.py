@@ -40,10 +40,10 @@ brute-force oracle.)
 
 restrict_tower and linear_tower share one memo body, _tower, which checks
 the input on a miss, starts both towers from the leaf {(): 1} and stores
-what _level returns.  _level checks every full vector against dimension
-conservation, its degree summed from the degrees of the ranked labels one
-level down.  Every divisibility is asserted; failures abort rather than
-round.
+what _level returns, or on the linear path a conjugate twin (below).
+_level checks every full vector against dimension conservation, its
+degree summed from the degrees of the ranked labels one level down.  Every
+divisibility is asserted; failures abort rather than round.
 
 A linear-degree slice of the same recursion (linear_tower) tracks digit
 strings only, which is what the classification sweeps and large-k spot
@@ -61,6 +61,19 @@ so the sweeps that ask for one shape's linear constituents again read
 them; like every memoised vector here, its dicts are read-only.
 restrict_sylow keeps its products for one call only.  Both reject
 |la| > CACHE_MAX_SIZE before the first split, as _tower rejects p^k above it.
+
+The linear memos are filled in conjugate pairs.  chi^la' = chi^la sgn, and
+sgn restricted to P is linear, so on a miss _tower looks up la' in
+_lin_memo, and _sylow_product la' in _lin_sylow_memo, and if it is there
+stores and returns its vector times sgn|P as la's (_twin): no fold.  At odd
+p, P has odd order, so sgn|P is trivial and the twin is the same dict.
+At p = 2 the top generator of P_{2^k} swaps two blocks of 2^{k-1} points,
+an odd permutation only at k = 1, so sgn|P_{2^k} is the digit string
+(1, 0, ..., 0) and multiplying by it flips the innermost digit
+(tw.sgn_twist), factor by factor in a product.  The full path folds both
+shapes: a twin there would leave out of _full_memo the sub-level entries
+la's own fold stores, so a restrict --cache file could hold fewer entries
+than the fold writes.
 """
 
 import os
@@ -70,7 +83,7 @@ from math import prod
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, sylow_shape
+from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, conjugate, sylow_shape
 
 _full_memo = {}
 _lin_memo = {}
@@ -210,6 +223,21 @@ def _level(la, p, k, full):
     return out
 
 
+def _twin(vec, p, product):
+    """la's linear vector read from vec, its conjugate's (a tower vector, or a product if product).
+
+    At odd p that is vec itself; at p = 2 every tower factor of every key
+    is sign-twisted, each distinct factor of a product once, so that its
+    keys share their factor tuples as a folded product's do.
+    """
+    if p != 2:
+        return vec
+    if not product:
+        return {tw.sgn_twist(len(d), d): m for d, m in vec.items()}
+    flips = {f: tw.sgn_twist(len(f), f) for f in {f for key in vec for f in key}}
+    return {tuple(map(flips.__getitem__, key)): m for key, m in vec.items()}
+
+
 def _tower(memo, la, p, k, full):
     """restrict_tower's body if full, else linear_tower's: memo lookup, check and store."""
     # a hit is on a key that was checked when it was stored
@@ -219,8 +247,12 @@ def _tower(memo, la, p, k, full):
         hit = memo.get((p, k, la))
     if hit is not None:
         return hit
-    # tw.LEAF is the empty digit string, so both towers start from {(): 1}
-    vec = {tw.LEAF: 1} if k == 0 else _level(la, p, k, full)
+    if k == 0:
+        # tw.LEAF is the empty digit string, so both towers start from {(): 1}
+        vec = {tw.LEAF: 1}
+    else:
+        twin = None if full else memo.get((p, k, conjugate(la)))
+        vec = _level(la, p, k, full) if twin is None else _twin(twin, p, False)
     memo[p, k, la] = vec
     return vec
 
@@ -256,7 +288,11 @@ def _sylow_product(tower, la, p, heights, memo):
     vec = memo.get((p, la))
     if vec is not None:
         return vec
-    if len(heights) < 2:
+    # restrict_sylow's products, kept for one call, are never twinned
+    twin = memo.get((p, conjugate(la))) if memo is _lin_sylow_memo else None
+    if twin is not None:
+        vec = _twin(twin, p, True)
+    elif len(heights) < 2:
         vec = {(lab,): m for lab, m in tower(la, p, heights[0]).items()} if heights else {(): 1}
     else:
         top = heights[-1]

@@ -343,7 +343,11 @@ def conservation():
     has produced so far, then sweeps the twist symmetry: conjugating the
     shape acts on linear labels by the per-factor sign twist at p=2 and
     trivially at p=3.  The twist is an involution, so each conjugate pair
-    is compared once, at its lex-larger shape.
+    is compared once, at its lex-larger shape.  The engine fills its linear
+    memos by this same rule (engine._twin), one shape of a pair read from
+    the other, so the sweep reads the rule back rather than comparing two
+    folds; the tests in tests/test_engine.py fold both shapes with the
+    twins off.
     """
     failures = []
     for p, nmax in ((2, 16), (3, 11)):

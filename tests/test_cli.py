@@ -12,7 +12,7 @@ from sylowbranch import cli, engine
 from sylowbranch import closedform as cf
 from sylowbranch import oracle as orc
 from sylowbranch import verify as ver
-from sylowbranch.cli import main
+from sylowbranch.cli import CLASSIFY_MAX_N, main
 from sylowbranch.partitions import sylow_shape
 
 
@@ -205,6 +205,26 @@ def test_classify_above_the_size_bound_is_rejected_before_its_header():
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
     assert str(engine.CACHE_MAX_SIZE) in r.stderr
+
+
+def test_classify_above_its_listing_bound_is_rejected_before_its_header():
+    # under the cap, listing the 1.9e8 partitions of 100 would run out of memory
+    r = run_capped_cli("classify", "--n", "100")
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: input too large: ") and r.stderr.count("\n") == 1, r.stderr
+    assert str(CLASSIFY_MAX_N) in r.stderr
+
+
+def test_out_of_memory_is_a_domain_error(monkeypatch, capsys):
+    def partitions(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "partitions", partitions)
+    assert main(["classify", "--n", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input too large: out of memory\n"
 
 
 def test_unknown_table_and_misplaced_hook_form_are_domain_errors(capsys):

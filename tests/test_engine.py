@@ -269,7 +269,56 @@ def _sgn_twisted(lc, heights):
     }
 
 
-def test_conjugation_twist_symmetry():
+def _untwinned(mp):
+    """Fresh linear memos and no conjugate to read: every linear vector is folded."""
+    mp.setattr(engine, "conjugate", lambda la: None)
+    for memo in ("_lin_memo", "_lin_sylow_memo"):
+        mp.setattr(engine, memo, {})
+
+
+def test_linear_twins_match_the_fold(monkeypatch):
+    # a vector read from its conjugate's through the sign twist equals the
+    # vector the fold gives with no twins; at odd p the twins share one dict
+    folds = []
+    real_level = engine._level
+
+    def level(*args):
+        folds.append(args)
+        return real_level(*args)
+
+    monkeypatch.setattr(engine, "_level", level)
+    ranges = ((2, 16), (3, 12), (5, 10))
+    runs = []
+    for twins in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            if twins:
+                for memo in ("_lin_memo", "_lin_sylow_memo"):
+                    mp.setattr(engine, memo, {})
+            else:
+                _untwinned(mp)
+            folds.clear()
+            vectors = {
+                (p, la): engine.linear_sylow(la, p)
+                for p, n_max in ranges
+                for n in range(1, n_max + 1)
+                for la in partitions(n)
+            }
+            runs.append((vectors, dict(engine._lin_memo), dict(engine._lin_sylow_memo), len(folds)))
+    (vectors, towers, products, folded), (want, want_towers, want_products, want_folded) = runs
+    assert vectors == want
+    assert towers.keys() <= want_towers.keys() and products.keys() <= want_products.keys()
+    assert all(want_towers[key] == vec for key, vec in towers.items())
+    assert all(want_products[key] == vec for key, vec in products.items())
+    assert folded < want_folded
+    assert any(
+        towers[3, k, la] is towers.get((3, k, conjugate(la)))
+        for (p, k, la) in towers
+        if p == 3 and conjugate(la) != la
+    )
+
+
+def test_conjugation_twist_symmetry(monkeypatch):
+    _untwinned(monkeypatch)
     for n in (8, 12):
         heights = sylow_shape(n, 2)
         for la in partitions(n):
@@ -291,10 +340,13 @@ def test_conjugation_twist_on_drawn_shapes(case):
     # sgn restricts to the per-factor sign twist at p = 2 and to the trivial
     # character of the odd-order P_n at p = 3
     p, la = case
-    lc = engine.linear_sylow(la, p)
-    if p == 2:
-        lc = _sgn_twisted(lc, sylow_shape(sum(la), p))
-    assert engine.linear_sylow(conjugate(la), p) == lc
+    # a context, not the monkeypatch fixture, so that each example starts afresh
+    with pytest.MonkeyPatch.context() as mp:
+        _untwinned(mp)
+        lc = engine.linear_sylow(la, p)
+        if p == 2:
+            lc = _sgn_twisted(lc, sylow_shape(sum(la), p))
+        assert engine.linear_sylow(conjugate(la), p) == lc
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
