@@ -39,7 +39,7 @@ from .partitions import check_partition, conjugate
 
 def sn_degree(la):
     """Dimension of the irreducible character of S_|la| labelled by la."""
-    return _degree(tuple(la))
+    return _degree(check_partition(la))
 
 
 @cache
@@ -89,9 +89,10 @@ def _mn(la, ct):
 
 def character_value(la, ct):
     """Character value of la at the class with cycle type ct (same size)."""
+    la, ct = check_partition(la), check_partition(sorted(ct, reverse=True))
     if sum(la) != sum(ct):
         raise ValueError(f"cycle type {ct} does not match |{la}|")
-    return _mn(tuple(la), tuple(sorted(ct, reverse=True)))
+    return _mn(la, ct)
 
 
 def lr_coefficient(la, mu, nu):
@@ -231,7 +232,7 @@ def young_decompose(la, sizes, factor=None):
 
 def lr_multi(la, factors):
     """c^la_{mu_1..mu_r}, the multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted."""
-    return _lr_peel(tuple(la), tuple(map(tuple, factors)))
+    return _lr_peel(check_partition(la), tuple(map(tuple, factors)))
 
 
 @cache
@@ -293,11 +294,11 @@ def stretch_coefficient(la, mu, p):
     coefficient is symmetric in its factors, so the order of the quotient
     does not matter.
     """
-    la, mu = tuple(la), tuple(mu)
+    la, mu = check_partition(la), check_partition(mu)
     if sum(la) != p * sum(mu):
         raise ValueError("need |la| = p * |mu|")
     sign, quotient = _p_quotient(la, p)
-    return sign * lr_multi(mu, quotient) if sign else 0
+    return sign * _lr_peel(mu, quotient) if sign else 0
 
 
 def cyclic_split(p, c, d):

@@ -6,7 +6,7 @@ Commands:
   lin       linear constituents with multiplicities
   restrict  the full restriction vector (json or tsv)
   classify  per-shape table: engine count vs classification
-  table     the almost-hook coefficient grid as TSV
+  table     the almost-hook coefficient grid at 2^k as TSV
   verify    named verification sweeps (or "all")
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
@@ -15,6 +15,11 @@ label, size mismatch, a partition of more than 4096, classify --n above
 prime, corrupt cache, a cache file that cannot be read or written, input
 too large for the recursion depth or for memory), 3 oracle budget on |P_n|
 exceeded, 4 verification failure.
+
+sbc, lin and restrict read --lambda and --p through partitions.check_shape,
+the library's one gate for a (partition, prime) pair.  The oracle budget is
+the SYLOW_BRANCH_BUDGET environment variable's, which main neither reads
+nor writes: main runs in-process under the tests and the benchmark.
 
 Only restrict reads and writes the --cache file; it writes it only when the
 file is new or the run computed a full vector the file did not hold.  lin
@@ -38,7 +43,7 @@ from . import engine
 from . import tower as tw
 from . import verify as ver
 from .oracle import BudgetExceeded
-from .partitions import almost_hook, format_partition, parse_partition, partitions, sylow_shape
+from .partitions import almost_hook, check_shape, format_partition, parse_partition, partitions
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -74,11 +79,12 @@ def _parse_linear(text, p, heights):
     return tuple(factors)
 
 
-def _parse_shape(text):
+def _parse_shape(text, p):
+    """--lambda text to (la, its Sylow heights at p), through partitions.check_shape."""
     la = parse_partition(text)
     if not la:
         raise ValueError("the partition must be nonempty")
-    return la
+    return check_shape(la, p)
 
 
 def _linear_text(psi):
@@ -86,15 +92,13 @@ def _linear_text(psi):
 
 
 def cmd_sbc(args):
-    la = _parse_shape(args.la)
-    heights = sylow_shape(sum(la), args.p)
+    la, heights = _parse_shape(args.la, args.p)
     psi = _parse_linear(args.linear, args.p, heights)
     print(engine.sbc(la, args.p, psi))
 
 
 def cmd_lin(args):
-    la = _parse_shape(args.la)
-    heights = sylow_shape(sum(la), args.p)
+    la, heights = _parse_shape(args.la, args.p)
     lc = engine.lin_constituents(la, args.p)
     if args.p == 2 and len(heights) == 1:
         pairs = sorted((tw.linear_to_hook(heights[0], f[0]), m) for f, m in lc.items())
@@ -104,9 +108,8 @@ def cmd_lin(args):
 
 
 def cmd_restrict(args):
-    la = _parse_shape(args.la)
     p, path = args.p, args.cache
-    sylow_shape(sum(la), p)  # p is checked before the cache file is read
+    la, _ = _parse_shape(args.la, p)  # p is checked before the cache file is read
     # save_cache output is deterministic, so a skipped write leaves the same
     # bytes; an OSError on the file is a domain error
     try:
@@ -162,9 +165,6 @@ def cmd_classify(args):
 
 
 def cmd_table(args):
-    name = ver.ALIASES.get(args.name, args.name)
-    if name != "hook-grid":
-        raise ValueError(f"unknown table {args.name!r} (available: hook-grid)")
     k = args.k
     if k < 2:
         raise ValueError(f"the almost-hook grid needs k >= 2, got {k}")
@@ -224,7 +224,6 @@ def _build_parser():
     p_cls.set_defaults(fn=cmd_classify)
 
     p_tab = sub.add_parser("table", help="almost-hook coefficient grid as TSV")
-    p_tab.add_argument("name", nargs="?", default="hook-grid")
     p_tab.add_argument("--k", type=int, default=4)
     p_tab.set_defaults(fn=cmd_table)
 
@@ -232,7 +231,6 @@ def _build_parser():
     p_ver.add_argument("suite", nargs="?", default="all")
     p_ver.add_argument("--n-max", type=int, default=None, help="cap for the p=2 classification sweep")
     p_ver.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    p_ver.add_argument("--budget", type=int, default=None, help="override the oracle budget on |P_n|")
     p_ver.set_defaults(fn=cmd_verify)
     return top
 
@@ -242,9 +240,6 @@ _PARSER = _build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    saved = os.environ.get("SYLOW_BRANCH_BUDGET")
-    if getattr(args, "budget", None) is not None:
-        os.environ["SYLOW_BRANCH_BUDGET"] = str(args.budget)
     try:
         args.fn(args)
     except _VerificationFailed as exc:
@@ -262,11 +257,6 @@ def main(argv=None):
     except MemoryError:
         print("error: input too large: out of memory", file=sys.stderr)
         return DOMAIN_EXIT
-    finally:
-        if saved is None:
-            os.environ.pop("SYLOW_BRANCH_BUDGET", None)
-        else:
-            os.environ["SYLOW_BRANCH_BUDGET"] = saved
     return 0
 
 

@@ -32,6 +32,7 @@ from .partitions import (
     almost_hook_coordinate,
     check_partition,
     check_prime,
+    check_shape,
     choose,
     conjugate,
     delta,
@@ -121,14 +122,6 @@ Outcome = namedtuple("Outcome", "count case witnesses")
 # linear labels (each a tuple of per-factor digit strings) or None.
 
 
-def _trivial_witness(n, p):
-    return tuple((0,) * h for h in sylow_shape(n, p))
-
-
-def _sign_witness(n):
-    return tuple(hook_to_linear(h, 2**h - 1) for h in sylow_shape(n, 2))
-
-
 # The shapes of 8 other than the almost hook (4,2,1,1) with exactly two
 # linear constituents, each of multiplicity 1, by the hook coordinates y of
 # the two labels.
@@ -147,14 +140,11 @@ def two_linear_classification(n, la):
     labels, each a tuple of per-factor digit strings in ascending factor
     order, all with multiplicity 1.
     """
-    la = check_partition(la)
-    if sum(la) != n:
-        raise ValueError(f"|{la}| != {n}")
+    la, heights = check_shape(la, 2, n)
     if la == (n,):
-        return Outcome("1", "trivial-row", (_trivial_witness(n, 2),))
+        return Outcome("1", "trivial-row", (tuple((0,) * h for h in heights),))
     if la == (1,) * n:
-        return Outcome("1", "trivial-column", (_sign_witness(n),))
-    heights = sylow_shape(n, 2)
+        return Outcome("1", "trivial-column", (tuple(hook_to_linear(h, 2**h - 1) for h in heights),))
     if len(heights) == 1:
         k = heights[0]
         t = hook_coordinate(la)
@@ -218,9 +208,7 @@ def odd_prime_classification(p, n, la):
     check_classification_domain(p, n)
     if p == 2:
         raise ValueError("p must be an odd prime")
-    la = check_partition(la)
-    if sum(la) != n:
-        raise ValueError(f"|{la}| != {n}")
+    la, heights = check_shape(la, p, n)
     if la in ((n,), (1,) * n):
         return Outcome("1", "trivial", None)
     if n < 2 * p:
@@ -228,7 +216,6 @@ def odd_prime_classification(p, n, la):
         val = ch.character_value(la, (p,) + (1,) * (n - p))
         count = sum(map(bool, ch.cyclic_split(p, deg, val)))
         return Outcome(str(count), "cyclic", None)
-    heights = sylow_shape(n, p)
     if len(heights) == 1:
         if p == 3 and n == 9 and la == (3, 3, 3):
             return Outcome(str(p), "square-sporadic", None)
@@ -272,9 +259,7 @@ def halving_criterion(k, la):
     delta(la) and delta(la') both lie in the set of hooks of 2^{k-1}
     together with the almost hook at coordinate 2^{k-2} - 2.
     """
-    la = check_partition(la)
-    if sum(la) != 2**k:
-        raise ValueError(f"|{la}| != 2^{k}")
+    la, _ = check_shape(la, 2, 2**k)
     half = 2 ** (k - 1)
     allowed_extra = almost_hook(half, 2 ** (k - 2) - 2)
 
@@ -350,10 +335,8 @@ def narrow_box_lin_set(p, k, la):
     with nonzero digit; every shape lying in the (n-2)-box but not in the
     (n-p)-box sees all p top twists.
     """
-    la = check_partition(la)
     n = p**k
-    if sum(la) != n:
-        raise ValueError(f"|{la}| != {p}^{k}")
+    la, _ = check_shape(la, p, n)
     if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
         return frozenset(psi_digits(p, k, i) for i in range(1, p))
     if in_box(la, n - 2) and not in_box(la, n - p):

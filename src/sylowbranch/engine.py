@@ -59,8 +59,9 @@ with one split_pairs, then multiply by the remaining shapes' products.
 linear_sylow memoises every such product on (p, la) in _lin_sylow_memo,
 so the sweeps that ask for one shape's linear constituents again read
 them; like every memoised vector here, its dicts are read-only.
-restrict_sylow keeps its products for one call only.  Both reject
-|la| > CACHE_MAX_SIZE before the first split, as _tower rejects p^k above it.
+restrict_sylow keeps its products for one call only.  Both take la
+through partitions.check_shape, which rejects |la| > CACHE_MAX_SIZE
+before the first split, as _tower rejects p^k above it.
 
 The linear memos are filled in conjugate pairs.  chi^la' = chi^la sgn, and
 sgn restricted to P is linear, so on a miss _tower looks up la' in
@@ -83,7 +84,7 @@ from math import prod
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, conjugate, sylow_shape
+from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, check_shape, conjugate, format_partition
 
 _full_memo = {}
 _lin_memo = {}
@@ -311,14 +312,6 @@ def _sylow_product(tower, la, p, heights, memo):
     return vec
 
 
-def _check_sylow(la, p):
-    """la checked as a partition of at most CACHE_MAX_SIZE, and its Sylow factor heights."""
-    la = check_partition(la)
-    if sum(la) > CACHE_MAX_SIZE:
-        raise ValueError(f"size {sum(la)} exceeds {CACHE_MAX_SIZE}")
-    return la, sylow_shape(sum(la), p)
-
-
 def restrict_sylow(la, p):
     """Decomposition of la over the full Sylow p-subgroup of S_|la|.
 
@@ -328,7 +321,7 @@ def restrict_sylow(la, p):
     repeat without reading _full_memo, whose growth is how the CLI decides
     to rewrite its cache file.
     """
-    la, heights = _check_sylow(la, p)
+    la, heights = check_shape(la, p)
     return _sylow_product(restrict_tower, la, p, heights, {})
 
 
@@ -338,7 +331,7 @@ def linear_sylow(la, p):
     Returns a read-only dict, memoized with the products of every remaining
     shape on (p, la) in _lin_sylow_memo.
     """
-    la, heights = _check_sylow(la, p)
+    la, heights = check_shape(la, p)
     return _sylow_product(linear_tower, la, p, heights, _lin_sylow_memo)
 
 
@@ -348,8 +341,8 @@ def sbc(la, p, psi):
     psi is a digit tuple (single tower factor) or a tuple of per-factor digit
     tuples in ascending factor order.
     """
-    la = check_partition(la)
-    psi = tw.linear_factors(psi, p, sylow_shape(sum(la), p))
+    la, heights = check_shape(la, p)
+    psi = tw.linear_factors(psi, p, heights)
     return linear_sylow(la, p).get(psi, 0)
 
 
@@ -399,7 +392,7 @@ def save_cache(path):
         rows.sort()
         vector = _json_list([f"[\n     {quoted},\n     {m}\n    ]" for _, (_, quoted), m in rows], 4)
         entries.append(
-            f'{{\n   "p": {p},\n   "k": {k},\n   "lambda": {json.dumps(",".join(map(str, la)))},\n'
+            f'{{\n   "p": {p},\n   "k": {k},\n   "lambda": {json.dumps(format_partition(la))},\n'
             f'   "vector": {vector}\n  }}'
         )
     primes = sorted({p for p, _, _ in _full_memo})
@@ -451,7 +444,12 @@ def load_cache(path):
         try:
             p, k = _json_int(entry["p"]), _json_int(entry["k"])
             check_prime(p)
-            la = _check_size(entry["lambda"].split(","), p, k)
+            # map is lazy, so k is bounded before a part is read; only the
+            # text save_cache writes for la is accepted
+            text = entry["lambda"]
+            la = _check_size(map(int, text.split(",")), p, k)
+            if format_partition(la) != text:
+                raise ValueError(f"lambda {text!r} is not as save_cache writes it")
             if (p, k, la) in loaded:
                 raise ValueError(f"a second entry for p={p}, k={k}, {la}")
             rows = [(text, tw.parse_label(text), _json_int(m)) for text, m in entry["vector"]]

@@ -30,7 +30,7 @@ from itertools import product
 
 from . import tower as tw
 from .characters import character_value, sn_degree
-from .partitions import check_partition, check_prime, partitions, sylow_shape
+from .partitions import check_prime, check_shape, partitions, sylow_shape
 
 
 class BudgetExceeded(RuntimeError):
@@ -240,9 +240,9 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
     tuples, ascending factor order.  The sum is grouped by (cycle type,
     signature) since the summand only depends on those.
     """
-    la = check_partition(la)
+    la, heights = check_shape(la, p)
     n = sum(la)
-    psi = tw.linear_factors(psi, p, sylow_shape(n, p))
+    psi = tw.linear_factors(psi, p, heights)
     order = check_budget(n, p, budget)
     acc = [0] * p
     for (ct, sigs), count in _signature_buckets(n, p).items():
@@ -307,9 +307,8 @@ def oracle_full_restriction(la, p, budget=None):
     Only for |la| = p^k within the element budget; asserts dimension
     conservation on its own result.
     """
-    la = check_partition(la)
+    la, heights = check_shape(la, p)
     n = sum(la)
-    heights = sylow_shape(n, p)
     if len(heights) != 1:
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]

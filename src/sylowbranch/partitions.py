@@ -16,11 +16,15 @@ from math import comb
 def check_partition(parts):
     """Validate an iterable of parts and return it as a canonical tuple.
 
-    Raises ValueError unless the parts are positive and weakly decreasing.
+    Raises ValueError unless the parts are ints (not bools, floats or
+    strings: text is read by parse_partition), positive and weakly
+    decreasing.
     """
-    la = tuple(int(x) for x in parts)
+    la = tuple(parts)
     prev = None
     for part in la:
+        if type(part) is not int:
+            raise ValueError(f"partition parts must be ints, got {part!r}")
         if part <= 0:
             raise ValueError(f"partition parts must be positive, got {part}")
         if prev is not None and part > prev:
@@ -232,3 +236,18 @@ def sylow_shape(n, p):
         heights.extend([i] * digit)
         i += 1
     return tuple(heights)
+
+
+def check_shape(la, p, n=None):
+    """The input gate of every (partition, prime) entry: la checked, and its Sylow heights.
+
+    la must be a partition (of n, if given) of at most CACHE_MAX_SIZE and p
+    a prime; returns (la as a canonical tuple, sylow_shape(|la|, p)).
+    """
+    la = check_partition(la)
+    size = sum(la)
+    if n is not None and size != n:
+        raise ValueError(f"|{la}| != {n}")
+    if size > CACHE_MAX_SIZE:
+        raise ValueError(f"size {size} exceeds {CACHE_MAX_SIZE}")
+    return la, sylow_shape(size, p)

@@ -8,9 +8,12 @@ suite times depend on the order the suites run in.  `run` executes suites
 by name and prints one PASS/FAIL line per suite, which is the format the
 acceptance tests and the CLI both rely on.
 
-Suite names describe what is checked.  The historical aliases accepted by
-the CLI (`thm11`, `thm12`, `thm13`) map onto classify-two, classify-odd and
-hook-grid respectively.
+Suite names describe what is checked.  The historical aliases (`thm11`,
+`thm12`, `thm13`) map onto classify-two, classify-odd and hook-grid
+respectively; `run`, and so the CLI's `verify`, accepts them.  The oracle
+calls take no budget argument, so the SYLOW_BRANCH_BUDGET environment
+variable, or the 2^20 default, bounds them; a suite over it raises
+oracle.BudgetExceeded.
 """
 
 import inspect

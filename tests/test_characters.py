@@ -108,6 +108,22 @@ def test_lr_small_values():
     assert lr_coefficient((3, 2), (1, 2), (2,)) == 0
 
 
+def test_public_character_functions_reject_non_partitions():
+    # the cached internals behind them are reached only through these checks
+    for call in (
+        lambda: sn_degree((1, 3)),
+        lambda: sn_degree((2, 0, 1)),
+        lambda: lr_multi((3, 1, 2), [(3,), (2,), (1,)]),
+        lambda: lr_coefficient((1, 3), (2,), (2,)),
+        lambda: stretch_coefficient((1, 3), (2,), 2),
+        lambda: stretch_coefficient((2, 2), (1.0, 1), 2),
+        lambda: character_value((1, 3), (4,)),
+        lambda: character_value((3, 1), (2.0, 2)),
+    ):
+        with pytest.raises(ValueError, match="partition parts"):
+            call()
+
+
 def test_lr_symmetries():
     rng = random.Random(12)
     for _ in range(200):

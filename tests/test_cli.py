@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sylowbranch import cli, engine
 from sylowbranch import closedform as cf
-from sylowbranch import oracle as orc
 from sylowbranch import verify as ver
 from sylowbranch.cli import CLASSIFY_MAX_N, main
 from sylowbranch.partitions import sylow_shape
@@ -77,7 +76,7 @@ def test_restrict_json():
 
 
 def test_table_head_and_alias():
-    r = run_cli("table", "hook-grid", "--k", "3")
+    r = run_cli("table", "--k", "3")
     assert r.returncode == 0
     lines = r.stdout.splitlines()
     assert lines[0] == "x\ty\tB(y)\tformula\tengine"
@@ -87,8 +86,12 @@ def test_table_head_and_alias():
     for line in lines[1:]:
         cells = line.split("\t")
         assert cells[3] == cells[4], line
-    alias = run_cli("table", "thm13", "--k", "3")
-    assert alias.stdout == r.stdout
+    # the grid has no name: the old positional hook-grid, its alias thm13
+    # and any other word are usage errors
+    for name in ("hook-grid", "thm13", "nosuch"):
+        r = run_cli("table", name, "--k", "3")
+        assert r.returncode == 1, name
+        assert r.stdout == ""
 
 
 def test_classify_table():
@@ -112,7 +115,7 @@ def test_verify_suite_and_alias():
 def test_byte_stability():
     for args in (
         ("restrict", "--p", "2", "--lambda", "3,3,2", "--format", "json"),
-        ("table", "hook-grid", "--k", "4"),
+        ("table", "--k", "4"),
         ("lin", "--p", "2", "--lambda", "6,6"),
     ):
         a = run_cli(*args)
@@ -227,10 +230,9 @@ def test_out_of_memory_is_a_domain_error(monkeypatch, capsys):
     assert captured.err == "error: input too large: out of memory\n"
 
 
-def test_unknown_table_and_misplaced_hook_form_are_domain_errors(capsys):
+def test_misplaced_hook_form_is_a_domain_error(capsys):
     # the y= form names a hook of a single 2-power tower: not p = 3, not n = 3
     for args, message in (
-        (["table", "nosuch"], "unknown table 'nosuch'"),
         (["sbc", "--p", "3", "--lambda", "3", "--linear", "y=1"], "y= form needs p=2"),
         (["sbc", "--lambda", "3", "--linear", "y=1"], "y= form needs p=2"),
     ):
@@ -274,15 +276,10 @@ def test_exit_code_budget():
     r = run_cli("verify", "oracle", env=env)
     assert r.returncode == 3
     assert "budget" in r.stderr
-    # an explicit --budget 0 is honoured, not read as unset
-    assert run_cli("verify", "oracle", "--budget", "0").returncode == 3
-
-
-def test_budget_option_does_not_outlive_the_call(monkeypatch):
-    monkeypatch.delenv("SYLOW_BRANCH_BUDGET", raising=False)
-    assert main(["verify", "small-sets", "--budget", "0"]) == 0
-    assert "SYLOW_BRANCH_BUDGET" not in os.environ
-    assert orc.check_budget(4, 2) == 8
+    # a budget of 0 is honoured, not read as unset
+    assert run_cli("verify", "oracle", env=dict(env, SYLOW_BRANCH_BUDGET="0")).returncode == 3
+    # the environment is the CLI's only budget setting
+    assert run_cli("verify", "oracle", "--budget", "0").returncode == 1
 
 
 def test_exit_code_verification_failure():
@@ -344,6 +341,30 @@ def test_cache_corrupt_label_rejected(tmp_path):
         assert "corrupt cache entry" in r.stderr
         assert r.stdout == ""
         assert cache.read_bytes() == before
+
+
+def test_cache_non_canonical_lambda_text_rejected(tmp_path, monkeypatch):
+    # each text reads as a partition under int(), and save_cache would write
+    # it back otherwise, so the file's bytes would change
+    cache = tmp_path / "vec.json"
+    good = _corrupt_label_doc("0")
+    for text, k, label in (
+        ("1_6", 4, "0.0.0.0"),
+        (" 2", 1, "0"),
+        ("2 ", 1, "0"),
+        ("02", 1, "0"),
+        ("+2", 1, "0"),
+        ("\N{ARABIC-INDIC DIGIT TWO}", 1, "0"),
+        ("1, 1", 1, "1"),
+    ):
+        entry = {"p": 2, "k": k, "lambda": text, "vector": [[label, 1]]}
+        cache.write_text(json.dumps(dict(good, entries=[entry])))
+        monkeypatch.setattr(engine, "_full_memo", {})
+        with pytest.raises(ValueError, match="corrupt cache entry 0"):
+            engine.load_cache(cache)
+        assert engine._full_memo == {}, text
+    cache.write_text(json.dumps(good))
+    assert engine.load_cache(cache) == 1
 
 
 def test_cache_malformed_document_rejected(tmp_path, monkeypatch):

@@ -2,12 +2,14 @@ from math import isqrt
 
 import pytest
 
+from sylowbranch import characters, closedform, engine, oracle
 from sylowbranch.partitions import (
     CACHE_MAX_SIZE,
     almost_hook,
     almost_hook_coordinate,
     check_partition,
     check_prime,
+    check_shape,
     conjugate,
     delta,
     format_partition,
@@ -34,6 +36,59 @@ def test_check_partition_rejects_bad_input():
         check_partition((2, 0))
     with pytest.raises(ValueError):
         check_partition((2, -1))
+    # a float is not truncated, nor a bool or a digit string converted:
+    # text is read by parse_partition
+    for parts in ((2.9,), (2.0,), (True,), ("2",), ("1_6",), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be ints"):
+            check_partition(parts)
+
+
+def test_check_shape():
+    assert check_shape([3, 1], 2) == ((3, 1), (2,))
+    assert check_shape((4, 1), 3, 5) == ((4, 1), (0, 0, 1))
+    assert check_shape((CACHE_MAX_SIZE,), 2) == ((CACHE_MAX_SIZE,), (12,))
+    with pytest.raises(ValueError, match="!= 4"):
+        check_shape((3, 1, 1), 2, 4)
+    with pytest.raises(ValueError, match=f"exceeds {CACHE_MAX_SIZE}"):
+        check_shape((CACHE_MAX_SIZE, 1), 2)
+    with pytest.raises(ValueError, match="prime"):
+        check_shape((3, 1), 4)
+
+
+# every public entry that takes a (partition, prime) pair, called on a
+# shape la said to be of n
+SYLOW_ENTRIES = {
+    "restrict_sylow": lambda la, n: engine.restrict_sylow(la, 2),
+    "linear_sylow": lambda la, n: engine.linear_sylow(la, 2),
+    "sbc": lambda la, n: engine.sbc(la, 2, (0, 0)),
+    "count_lin": lambda la, n: engine.count_lin(la, 2),
+    "oracle_linear_multiplicity": lambda la, n: oracle.oracle_linear_multiplicity(la, 2, (0, 0)),
+    "oracle_full_restriction": lambda la, n: oracle.oracle_full_restriction(la, 2),
+    "two_linear_classification": lambda la, n: closedform.two_linear_classification(n, la),
+    "odd_prime_classification": lambda la, n: closedform.odd_prime_classification(3, n, la),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SYLOW_ENTRIES))
+@pytest.mark.parametrize(
+    "la, n, message",
+    (
+        ((3.0, 1), 4, "must be ints"),
+        (("3", 1), 4, "must be ints"),
+        ((3, True), 4, "must be ints"),
+        ((1, 3), 4, "weakly decreasing"),
+        ((CACHE_MAX_SIZE + 1,), CACHE_MAX_SIZE + 1, f"exceeds {CACHE_MAX_SIZE}"),
+    ),
+    ids=("float", "str", "bool", "rising", "too-large"),
+)
+def test_every_sylow_entry_rejects_a_bad_shape_before_any_walk(monkeypatch, entry, la, n, message):
+    def unreachable(*args):
+        raise AssertionError("a filling walk ran on a rejected shape")
+
+    monkeypatch.setattr(characters, "split_walk", unreachable)
+    monkeypatch.setattr(characters, "split_pairs", unreachable)
+    with pytest.raises(ValueError, match=message):
+        SYLOW_ENTRIES[entry](la, n)
 
 
 def test_parse_format_roundtrip():
