@@ -32,6 +32,7 @@ partial results by remaining shape.
 
 from collections import defaultdict
 from functools import cache
+from itertools import chain
 from math import factorial
 
 from .partitions import check_partition, conjugate
@@ -231,8 +232,16 @@ def young_decompose(la, sizes, factor=None):
 
 
 def lr_multi(la, factors):
-    """c^la_{mu_1..mu_r}, the multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted."""
-    return _lr_peel(check_partition(la), tuple(map(tuple, factors)))
+    """c^la_{mu_1..mu_r}, the multiplicity of chi^{mu_1} x ... x chi^{mu_r} in la restricted.
+
+    Raises ValueError unless every factor part is an int; an int factor that
+    is not a partition gives 0.
+    """
+    la, factors = check_partition(la), tuple(map(tuple, factors))
+    for part in chain.from_iterable(factors):
+        if type(part) is not int:
+            raise ValueError(f"partition parts must be ints, got {part!r}")
+    return _lr_peel(la, factors)
 
 
 @cache

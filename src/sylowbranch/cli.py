@@ -43,7 +43,7 @@ from . import engine
 from . import tower as tw
 from . import verify as ver
 from .oracle import BudgetExceeded
-from .partitions import almost_hook, check_shape, format_partition, parse_partition, partitions
+from .partitions import almost_hook, check_power, check_shape, format_partition, parse_partition, partitions
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -168,9 +168,7 @@ def cmd_table(args):
     k = args.k
     if k < 2:
         raise ValueError(f"the almost-hook grid needs k >= 2, got {k}")
-    if k >= engine.CACHE_MAX_SIZE.bit_length():  # 2^k > CACHE_MAX_SIZE
-        raise ValueError(f"size 2^{k} exceeds {engine.CACHE_MAX_SIZE}")
-    n = 2**k
+    n = check_power(2, k)
     print("x\ty\tB(y)\tformula\tengine")
     for x in range(n - 3):
         la = almost_hook(n, x)

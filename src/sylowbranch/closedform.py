@@ -31,6 +31,7 @@ from .partitions import (
     almost_hook,
     almost_hook_coordinate,
     check_partition,
+    check_power,
     check_prime,
     check_shape,
     choose,
@@ -259,7 +260,7 @@ def halving_criterion(k, la):
     delta(la) and delta(la') both lie in the set of hooks of 2^{k-1}
     together with the almost hook at coordinate 2^{k-2} - 2.
     """
-    la, _ = check_shape(la, 2, 2**k)
+    la, _ = check_shape(la, 2, check_power(2, k))
     half = 2 ** (k - 1)
     allowed_extra = almost_hook(half, 2 ** (k - 2) - 2)
 
@@ -335,7 +336,7 @@ def narrow_box_lin_set(p, k, la):
     with nonzero digit; every shape lying in the (n-2)-box but not in the
     (n-p)-box sees all p top twists.
     """
-    n = p**k
+    n = check_power(p, k)
     la, _ = check_shape(la, p, n)
     if la in ((n - 1, 1), (2,) + (1,) * (n - 2)):
         return frozenset(psi_digits(p, k, i) for i in range(1, p))

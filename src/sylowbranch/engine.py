@@ -84,7 +84,7 @@ from math import prod
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import CACHE_MAX_SIZE, check_partition, check_prime, check_shape, conjugate, format_partition
+from .partitions import check_partition, check_power, check_prime, check_shape, conjugate, format_partition
 
 _full_memo = {}
 _lin_memo = {}
@@ -107,11 +107,9 @@ def _stage_a(la, p, k):
 
 
 def _check_size(la, p, k):
-    # k first, so that a huge k never builds p^k
-    if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
-        raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
+    n = check_power(p, k)
     la = check_partition(la)
-    if sum(la) != p**k:
+    if sum(la) != n:
         raise ValueError(f"|{la}| != {p}^{k}")
     return la
 

@@ -6,17 +6,20 @@ Two routes:
     integers Z[zeta_p] (integer accumulators per power of zeta, reduced in
     the power basis; a result must come out rational-integral and divisible
     by the group order).  The full oracle walks the elements of the tower
-    over tw.irr_labels, the labels' definition; the model of the tower as a
-    group (nested (children, top-cycle) pairs, their products, permutations
-    and cycle types; |P_n| and the element budget) lives here.  The linear
-    one sums over (cycle type, signature) classes counted by the
-    wreath-product cycle-index recursion, so it builds no element;
+    over tw.irr_labels, the labels' definition, once per (p, k): the walk
+    sums each label's values per cycle type (_class_sums), and each call
+    pairs those sums with chi^la.  The model of the tower as a group
+    (nested (children, top-cycle) pairs, their products, permutations and
+    cycle types; |P_n| and the element budget) lives here.  The linear one
+    sums over (cycle type, signature) classes counted by the wreath-product
+    cycle-index recursion, so it builds no element;
 
   * a monomial-expansion plethysm oracle for s_(2) o s_mu and s_(1,1) o s_mu
     with |mu| <= 4: expand s_mu as a sum of monomials over semistandard
     tableaux, read the coefficients of s_mu^2 and s_mu(x^2) at partition
     exponents only (they fix a symmetric polynomial), and read off Schur
-    coefficients by triangular elimination against Kostka numbers.
+    coefficients by triangular elimination against Kostka numbers, which
+    come from removing horizontal strips.
 
 Everything here deliberately avoids the engine and the lattice-filling code
 paths in characters (only character values are shared, and those are pinned
@@ -238,15 +241,18 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
 
     psi is a digit tuple (single tower factor) or tuple of per-factor digit
     tuples, ascending factor order.  The sum is grouped by (cycle type,
-    signature) since the summand only depends on those.
+    signature) since the summand only depends on those, and chi^la is read
+    once per cycle type.
     """
     la, heights = check_shape(la, p)
     n = sum(la)
     psi = tw.linear_factors(psi, p, heights)
     order = check_budget(n, p, budget)
+    buckets = _signature_buckets(n, p)
+    chis = {ct: character_value(la, ct) for ct in {ct for ct, _ in buckets}}
     acc = [0] * p
-    for (ct, sigs), count in _signature_buckets(n, p).items():
-        chi = character_value(la, ct)
+    for (ct, sigs), count in buckets.items():
+        chi = chis[ct]
         if not chi:
             continue
         e = 0
@@ -301,11 +307,33 @@ def _label_value(p, label, el):
     return _zeta_mul_root(p, _label_value(p, inner, q), (t * s) % p)
 
 
+@cache
+def _class_sums(p, k):
+    """label -> cycle type -> sum of the conjugated label values, over the tower.
+
+    One walk of the height-k tower's elements for every label, so that
+    <chi, label> is sum over ct of chi(ct) times the label's class sum, for
+    any class function chi of S_(p^k).  Cycle types where the sum vanishes
+    are left out.
+    """
+    elements = _tower_element_data(p, k)
+    sums = {}
+    for label in tw.irr_labels(p, k):
+        by_ct = defaultdict(lambda: [0] * p)
+        for el, ct in elements:
+            acc = by_ct[ct]
+            for i, c in enumerate(_zeta_conj(p, _label_value(p, label, el))):
+                acc[i] += c
+        sums[label] = {ct: tuple(acc) for ct, acc in by_ct.items() if any(acc)}
+    return sums
+
+
 def oracle_full_restriction(la, p, budget=None):
     """Full decomposition of la over the tower labels by inner products.
 
     Only for |la| = p^k within the element budget; asserts dimension
-    conservation on its own result.
+    conservation on its own result.  chi^la is read once per cycle type and
+    paired with each label's _class_sums.
     """
     la, heights = check_shape(la, p)
     n = sum(la)
@@ -313,15 +341,14 @@ def oracle_full_restriction(la, p, budget=None):
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]
     order = check_budget(n, p, budget)
-    chis = [(el, character_value(la, ct)) for el, ct in _tower_element_data(p, k)]
-    support = [(el, chi) for el, chi in chis if chi]
+    chis = {ct: character_value(la, ct) for ct in {ct for _, ct in _tower_element_data(p, k)}}
     vec = {}
-    for label in tw.irr_labels(p, k):
+    for label, sums in _class_sums(p, k).items():
         acc = [0] * p
-        for el, chi in support:
-            val = _zeta_conj(p, _label_value(p, label, el))
-            for i, c in enumerate(val):
-                if c:
+        for ct, val in sums.items():
+            chi = chis[ct]
+            if chi:
+                for i, c in enumerate(val):
                     acc[i] += chi * c
         total = _zeta_int(tuple(acc))
         mult, rem = divmod(total, order)
@@ -337,12 +364,11 @@ def oracle_full_restriction(la, p, budget=None):
 
 # ------------------------------------------------- monomial plethysm oracle
 
-def _ssyt_monomials(shape, nvars, content=None):
+def _ssyt_monomials(shape, nvars):
     """Monomial expansion of the Schur polynomial: dict exponent -> count.
 
     Straight-shape semistandard tableaux with entries <= nvars; exponents are
-    full length-nvars tuples.  A content caps how often each entry occurs,
-    which prunes the walk to the tableaux below it.
+    full length-nvars tuples.
     """
     shape = tuple(shape)
     counts = [0] * (nvars + 1)
@@ -359,8 +385,6 @@ def _ssyt_monomials(shape, nvars, content=None):
         if r:
             lo = max(lo, grid[r - 1, c] + 1)
         for v in range(lo, nvars + 1):
-            if content is not None and counts[v] >= content[v - 1]:
-                continue
             grid[r, c] = v
             counts[v] += 1
             fill(pos + 1)
@@ -371,13 +395,41 @@ def _ssyt_monomials(shape, nvars, content=None):
     return dict(out)
 
 
+def _horizontal_strips(shape, size):
+    """The shapes mu inside shape with shape / mu a horizontal strip of size cells.
+
+    Row i keeps between max(shape[i+1], shape[i] - left) and shape[i] cells,
+    left being the cells still to remove.
+    """
+    out = []
+
+    def walk(i, left, kept):
+        if i == len(shape):
+            if not left:
+                out.append(tuple(x for x in kept if x))
+            return
+        below = shape[i + 1] if i + 1 < len(shape) else 0
+        for x in range(max(below, shape[i] - left), shape[i] + 1):
+            walk(i + 1, left - shape[i] + x, kept + (x,))
+
+    walk(0, size, ())
+    return out
+
+
 @cache
 def _kostka(shape, content):
-    """Number of semistandard tableaux of the given shape and content."""
+    """Number of semistandard tableaux of the given shape and content.
+
+    The entries equal to the last content value fill a horizontal strip, so
+    K(shape, content) is the sum of K(mu, content[:-1]) over the shapes mu
+    that _horizontal_strips leaves.
+    """
     shape, content = tuple(shape), tuple(content)
     if sum(shape) != sum(content):
         return 0
-    return _ssyt_monomials(shape, len(content), content).get(content, 0)
+    if not content:
+        return 1
+    return sum(_kostka(mu, content[:-1]) for mu in _horizontal_strips(shape, content[-1]))
 
 
 def _schur_expand(coeffs, total):

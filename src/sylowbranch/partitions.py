@@ -41,6 +41,8 @@ CACHE_MAX_SIZE = 2**12
 def parse_partition(text):
     """Parse comma-separated parts with exponent shorthand, e.g. "8,2,1^6".
 
+    Each base and exponent is ASCII digits (a base may carry a minus sign,
+    for check_partition to reject), so "+3" and "1_6" are bad tokens.
     Raises ValueError as soon as the size would pass CACHE_MAX_SIZE, before
     the token is expanded; a part below 1 counts as one cell there.
     """
@@ -52,18 +54,19 @@ def parse_partition(text):
         token = token.strip()
         if not token:
             raise ValueError(f"empty part in partition text {text!r}")
-        base, hat, exp = token.partition("^")
-        try:
-            b, e = int(base), int(exp) if hat else 1
-        except ValueError:
-            raise ValueError(f"bad partition token {token!r}") from None
-        if e < 0:
-            raise ValueError(f"negative exponent in {token!r}")
+        base, hat, exp = (piece.strip() for piece in token.partition("^"))
+        if not (_is_digits(base.removeprefix("-")) and (not hat or _is_digits(exp))):
+            raise ValueError(f"bad partition token {token!r}")
+        b, e = int(base), int(exp) if hat else 1
         size += max(b, 1) * e
         if size > CACHE_MAX_SIZE:
             raise ValueError(f"partition size passes {CACHE_MAX_SIZE} at {token!r}")
         parts.extend([b] * e)
     return check_partition(parts)
+
+
+def _is_digits(text):
+    return text.isascii() and text.isdigit()
 
 
 def format_partition(la):
@@ -236,6 +239,16 @@ def sylow_shape(n, p):
         heights.extend([i] * digit)
         i += 1
     return tuple(heights)
+
+
+def check_power(p, k):
+    """p^k, or ValueError when it passes CACHE_MAX_SIZE.
+
+    k is checked first, so that a huge k never builds p^k.
+    """
+    if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
+        raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
+    return p**k
 
 
 def check_shape(la, p, n=None):

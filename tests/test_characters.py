@@ -224,6 +224,10 @@ def test_lr_multi_input_forms():
     assert lr_multi((2,), ((2,),)) == 1 and lr_multi((2,), ((1, 1),)) == 0
     # not a partition, in whichever position the peel meets it
     assert lr_multi((3, 2, 1), ((1, 2), (2,), (1,))) == 0
+    # a factor part must be an int, though an int factor need not be a partition
+    for factors in (((2.0,), (1,)), ((1,), (2.0,)), ((True, True), (1,)), (("2",), (1,))):
+        with pytest.raises(ValueError, match="partition parts must be ints"):
+            lr_multi((3,), factors)
     mismatched = (((3, 1), ((2,), (1,))), ((3, 1), ()), ((), ((1,),)), ((2, 1), ((2,), (2,))))
     for la, factors in mismatched:
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from sylowbranch import cli, engine
 from sylowbranch import closedform as cf
 from sylowbranch import verify as ver
 from sylowbranch.cli import CLASSIFY_MAX_N, main
-from sylowbranch.partitions import sylow_shape
+from sylowbranch.partitions import CACHE_MAX_SIZE, sylow_shape
 
 
 def run_cli(*args, env=None, timeout=120):
@@ -181,13 +181,21 @@ def run_capped_cli(*args):
     )
 
 
+def test_lambda_text_that_int_would_read_is_rejected():
+    # int("1_6") is 16, so lin would print the answer for (16)
+    r = run_cli("lin", "--lambda", "1_6")
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert "bad partition token '1_6'" in r.stderr
+
+
 def test_huge_lambda_text_is_rejected_before_it_is_expanded():
     # under the cap, expanding the 10^9 parts would end in MemoryError
     r = run_capped_cli("lin", "--lambda", "1^1000000000")
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
-    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+    assert str(CACHE_MAX_SIZE) in r.stderr
 
 
 def test_table_above_the_size_bound_is_rejected_before_its_header():
@@ -197,7 +205,7 @@ def test_table_above_the_size_bound_is_rejected_before_its_header():
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
-    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+    assert str(CACHE_MAX_SIZE) in r.stderr
 
 
 def test_classify_above_the_size_bound_is_rejected_before_its_header():
@@ -207,7 +215,7 @@ def test_classify_above_the_size_bound_is_rejected_before_its_header():
     assert r.returncode == 2, r.stderr
     assert r.stdout == ""
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
-    assert str(engine.CACHE_MAX_SIZE) in r.stderr
+    assert str(CACHE_MAX_SIZE) in r.stderr
 
 
 def test_classify_above_its_listing_bound_is_rejected_before_its_header():
@@ -423,7 +431,7 @@ def test_cache_entry_above_the_size_bound_rejected(tmp_path):
         r = run_cli("restrict", "--p", "2", "--lambda", "2", "--cache", str(cache), timeout=20)
         assert r.returncode == 2, (entry, r.stderr)
         assert r.stdout == ""
-        assert "corrupt cache entry" in r.stderr and str(engine.CACHE_MAX_SIZE) in r.stderr
+        assert "corrupt cache entry" in r.stderr and str(CACHE_MAX_SIZE) in r.stderr
         assert cache.read_bytes() == before
     # the largest vector restrict builds before its filling walk runs out of depth
     cache.unlink()

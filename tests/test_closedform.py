@@ -6,6 +6,7 @@ from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
 from sylowbranch.characters import lr_coefficient, plethysm_split
 from sylowbranch.partitions import (
+    CACHE_MAX_SIZE,
     almost_hook,
     conjugate,
     hook,
@@ -302,6 +303,17 @@ def test_psi_digits():
     assert cf.psi_digits(3, 3, 1) == (0, 0, 1)
     with pytest.raises(ValueError):
         cf.psi_digits(3, 2, 3)
+
+
+def test_power_of_k_is_bounded_before_it_is_built():
+    # 2^(10^8) would take most of a second to build and fail in its message
+    for call in (
+        lambda: cf.halving_criterion(10**8, (2,)),
+        lambda: cf.narrow_box_lin_set(2, 10**8, (2,)),
+        lambda: cf.narrow_box_lin_set(3, 10**8, (2, 1)),
+    ):
+        with pytest.raises(ValueError, match=f"exceeds {CACHE_MAX_SIZE}"):
+            call()
 
 
 def test_narrow_box_lin_set_at_nine():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sylowbranch import characters, engine
 from sylowbranch import tower as tw
 from sylowbranch.characters import cyclic_split, plethysm_split, sn_degree, split_pairs
-from sylowbranch.partitions import conjugate, hook, partitions, sylow_shape
+from sylowbranch.partitions import CACHE_MAX_SIZE, conjugate, hook, partitions, sylow_shape
 
 
 def test_twisted_tensor_power_split_is_orbit_convolution():
@@ -172,19 +172,19 @@ def test_inputs_above_the_size_bound_are_rejected_before_any_split(monkeypatch):
 
     monkeypatch.setattr(characters, "split_walk", unreachable)
     monkeypatch.setattr(characters, "split_pairs", unreachable)
-    bound = f"exceeds {engine.CACHE_MAX_SIZE}"
+    bound = f"exceeds {CACHE_MAX_SIZE}"
     big = (2**40 - 2, 2)
     for fn in (engine.linear_sylow, engine.restrict_sylow):
         with pytest.raises(ValueError, match=bound):
             fn(big, 2)
         with pytest.raises(ValueError, match=bound):
-            fn((engine.CACHE_MAX_SIZE - 1, 2), 3)
+            fn((CACHE_MAX_SIZE - 1, 2), 3)
     # k is bounded before p^k is built
     for tower in (engine.restrict_tower, engine.linear_tower):
         for k in (13, 40, 10**12):
             with pytest.raises(ValueError, match=bound):
                 tower(big, 2, k)
-    assert engine._check_size((engine.CACHE_MAX_SIZE,), 2, 12) == (engine.CACHE_MAX_SIZE,)
+    assert engine._check_size((CACHE_MAX_SIZE,), 2, 12) == (CACHE_MAX_SIZE,)
 
 
 def test_lin_constituents_remark_values():

@@ -42,19 +42,6 @@ def test_zeta_algebra():
     assert orc._zeta_int(orc._zeta_mul(p, root, orc._zeta_conj(p, root))) == 1
 
 
-def test_full_oracle_matches_engine_at_four():
-    for la in partitions(4):
-        assert orc.oracle_full_restriction(la, 2) == engine.restrict_tower(la, 2, 2)
-
-
-def test_full_oracle_matches_engine_sample():
-    rng = random.Random(11)
-    for la in rng.sample(partitions(8), 8):
-        assert orc.oracle_full_restriction(la, 2) == engine.restrict_tower(la, 2, 3)
-    for la in rng.sample(partitions(9), 6):
-        assert orc.oracle_full_restriction(la, 3) == engine.restrict_tower(la, 3, 2)
-
-
 def test_engine_and_oracle_reject_out_of_range_digits():
     # neither library path reduces a digit mod p
     for la, p, psi in (((2,), 2, (2,)), ((2, 1), 3, (-1,))):
@@ -167,6 +154,70 @@ def test_kostka_numbers():
     assert orc._kostka((3,), (1, 1, 1)) == 1
     assert orc._kostka((1, 1), (2,)) == 0
     assert orc._kostka((2, 2), (2, 1, 1)) == 1
+
+
+def test_kostka_strip_recursion_counts_the_tableaux():
+    # the horizontal-strip recursion against the tableaux walk, every pair of
+    # partitions of n <= 8 (919 pairs)
+    for n in range(9):
+        for shape in partitions(n):
+            for content in partitions(n):
+                want = orc._ssyt_monomials(shape, len(content)).get(content, 0)
+                assert orc._kostka(shape, content) == want, (shape, content)
+
+
+def _small_towers():
+    return [(2, k) for k in range(4)] + [(3, k) for k in range(3)]
+
+
+def test_class_sums_are_orthogonal_to_the_trivial_character():
+    # the sum over every class is sum_g conj(label(g)) = |P| <1, label>
+    for p, k in _small_towers():
+        order = orc.sylow_order(p**k, p)
+        trivial = tw.linear_label((0,) * k)
+        sums = orc._class_sums(p, k)
+        assert list(sums) == list(tw.irr_labels(p, k)), (p, k)
+        for label, by_ct in sums.items():
+            total = [sum(col) for col in zip(*by_ct.values())]
+            assert orc._zeta_int(tuple(total)) == order * (label == trivial), (p, k, label)
+
+
+def test_class_sums_at_the_identity_are_the_degrees():
+    # only the identity has cycle type 1^(p^k)
+    for p, k in _small_towers():
+        identity = (1,) * p**k
+        for label, by_ct in orc._class_sums(p, k).items():
+            assert orc._zeta_int(by_ct[identity]) == tw.label_degree(p, label), (p, k, label)
+
+
+FULL_ORACLE_VECTORS = {
+    ((3, 1), 2): {"0.1": 1, "[0,1]": 1},
+    ((2, 2), 2): {"0.0": 1, "1.0": 1},
+    ((4, 4), 2): {"0.0.0": 2, "0.1.0": 1, "1.0.0": 1, "[0.0,1.0]": 1, "[0,1].0": 1, "[0.1,[0,1]]": 1},
+    ((5, 2, 1), 2): {
+        "0.0.0": 1, "0.0.1": 1, "0.1.0": 1, "0.1.1": 1, "[0.0,0.1]": 2, "[0.0,1.0]": 1,
+        "[0.0,1.1]": 1, "[0.1,1.0]": 1, "[0.1,1.1]": 1, "[0,1].0": 2, "[0,1].1": 2,
+        "[0.0,[0,1]]": 3, "[0.1,[0,1]]": 3, "[1.0,[0,1]]": 1, "[1.1,[0,1]]": 1,
+    },
+    ((6, 3), 3): {
+        "0.0": 2, "0.1": 1, "0.2": 1, "1.0": 1, "2.0": 1, "[0,0,1]": 2, "[0,0,2]": 2,
+        "[0,1,1]": 2, "[0,1,2]": 2, "[0,2,1]": 2, "[0,2,2]": 2, "[1,1,2]": 1, "[1,2,2]": 1,
+    },
+    ((3, 3, 3), 3): {
+        "0.0": 2, "1.0": 2, "2.0": 2, "[0,1,1]": 2, "[0,1,2]": 2, "[0,2,1]": 2,
+        "[0,2,2]": 2, "[1,1,2]": 2, "[1,2,2]": 2,
+    },
+}
+
+
+def test_full_oracle_on_every_shape_of_the_suite_sizes():
+    for n, p, k in ((4, 2, 2), (8, 2, 3), (9, 3, 2)):
+        for la in partitions(n):
+            got = orc.oracle_full_restriction(la, p)
+            assert got == engine.restrict_tower(la, p, k), (la, p)
+            want = FULL_ORACLE_VECTORS.get((la, p))
+            if want is not None:
+                assert {tw.label_text(lab): m for lab, m in got.items()} == want, (la, p)
 
 
 def test_plethysm_oracle_classics():

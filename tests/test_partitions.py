@@ -115,6 +115,15 @@ def test_parse_bounds_the_size_before_expanding():
             parse_partition(text)
 
 
+def test_parse_reads_ascii_digits_only():
+    # int() would read each of these: "1_6" as 16, "+3" as 3, "1_0" as 10,
+    # an Arabic-Indic digit as 1
+    for text in ("1_6", "+3", "1^1_0", "3,+1", "2^+1", "1^\u0661"):
+        with pytest.raises(ValueError, match="bad partition token"):
+            parse_partition(text)
+    assert parse_partition(" 8, 2 ,1 ^ 6 ") == (8, 2) + (1,) * 6
+
+
 def test_partition_counts():
     # p(n) for n = 0..16
     wanted = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231]
