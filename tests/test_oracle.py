@@ -42,6 +42,19 @@ def test_zeta_algebra():
     assert orc._zeta_int(orc._zeta_mul(p, root, orc._zeta_conj(p, root))) == 1
 
 
+def test_full_oracle_matches_engine_at_four():
+    for la in partitions(4):
+        assert orc.oracle_full_restriction(la, 2) == engine.restrict_tower(la, 2, 2)
+
+
+def test_full_oracle_matches_engine_sample():
+    rng = random.Random(11)
+    for la in rng.sample(partitions(8), 8):
+        assert orc.oracle_full_restriction(la, 2) == engine.restrict_tower(la, 2, 3)
+    for la in rng.sample(partitions(9), 6):
+        assert orc.oracle_full_restriction(la, 3) == engine.restrict_tower(la, 3, 2)
+
+
 def test_engine_and_oracle_reject_out_of_range_digits():
     # neither library path reduces a digit mod p
     for la, p, psi in (((2,), 2, (2,)), ((2, 1), 3, (-1,))):
