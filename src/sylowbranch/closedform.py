@@ -53,11 +53,13 @@ def window_base(y):
 
 
 def _check_grid(k, x, y):
+    """k >= 2 with 2^k within the size bound, and (x, y) on the almost-hook grid at 2^k."""
     if k < 2:
         raise ValueError("need k >= 2")
-    if not 0 <= x <= 2**k - 4:
+    n = check_power(2, k)
+    if not 0 <= x <= n - 4:
         raise ValueError(f"x={x} out of range at k={k}")
-    if not 0 <= y <= 2**k - 1:
+    if not 0 <= y <= n - 1:
         raise ValueError(f"y={y} out of range at k={k}")
 
 

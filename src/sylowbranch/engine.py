@@ -36,7 +36,7 @@ classical symmetric/alternating square split; for odd p it is the same
 Frobenius computation carried out over C_p, where only the
 Galois-invariant aggregate enters, so no choice of primitive root is
 made.  The odd-p stage is a derived extension validated against the
-brute-force oracle.)
+brute-force full oracle at n = 9 and 27 (p = 3) and n = 25 (p = 5).)
 
 restrict_tower and linear_tower share one memo body, _tower, which checks
 the input on a miss, starts both towers from the leaf {(): 1} and stores

@@ -5,14 +5,17 @@ Two routes:
   * direct inner products over the Sylow subgroup, exact in the cyclotomic
     integers Z[zeta_p] (integer accumulators per power of zeta, reduced in
     the power basis; a result must come out rational-integral and divisible
-    by the group order).  The full oracle walks the elements of the tower
-    over tw.irr_labels, the labels' definition, once per (p, k): the walk
-    sums each label's values per cycle type (_class_sums), and each call
-    pairs those sums with chi^la.  The model of the tower as a group
-    (nested (children, top-cycle) pairs, their products, permutations and
-    cycle types; |P_n| and the element budget) lives here.  The linear one
-    sums over (cycle type, signature) classes counted by the wreath-product
-    cycle-index recursion, so it builds no element;
+    by the group order).  Both character oracles pair chi^la, read once per
+    cycle type, with a label's class sums: for each cycle type, the sum of
+    the label's conjugated values over the elements of that type.
+    _label_value computes them from the labels' definition (tw.irr_labels)
+    by the wreath-product cycle-index recursion weighted by label values
+    (Kerber, Representations of Permutation Groups), so no element is
+    built; a product label's sums are the convolution of its factors'.
+    The element model of the tower (nested (children, top shift) pairs,
+    their products, permutations and cycle types, and the labels' values
+    element by element) is the reference the recursion is held against; it
+    lives in the tests, in tests/elements.py;
 
   * a monomial-expansion plethysm oracle for s_(2) o s_mu and s_(1,1) o s_mu
     with |mu| <= 4: expand s_mu as a sum of monomials over semistandard
@@ -27,20 +30,17 @@ separately by orthogonality tests).
 """
 
 import os
-from collections import Counter, defaultdict
+from collections import defaultdict
 from functools import cache
-from itertools import product
 
 from . import tower as tw
 from .characters import character_value, sn_degree
-from .partitions import check_prime, check_shape, partitions, sylow_shape
+from .partitions import check_prime, check_shape, partitions
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when the Sylow subgroup order |P_n| is over the configured budget."""
 
-
-# ------------------------------------------------------ the tower as a group
 
 def sylow_order(n, p):
     """Order of the Sylow p-subgroup of S_n (Legendre's formula)."""
@@ -53,90 +53,12 @@ def sylow_order(n, p):
     return p**e
 
 
-@cache
-def tower_elements(p, k):
-    """All elements of the height-k tower as nested (children, s) pairs."""
-    if k == 0:
-        return ((),)
-    below = tower_elements(p, k - 1)
-    return tuple(
-        (children, s) for children in product(below, repeat=p) for s in range(p)
-    )
-
-
-def element_perm(p, el):
-    """The permutation of {0..p^k-1} an element induces, as a tuple of images.
-
-    Blocks of size p^{k-1} are rotated by the top cycle s and each image
-    block is then permuted by the corresponding child.
-    """
-    if el == ():
-        return (0,)
-    children, s = el
-    child_perms = [element_perm(p, c) for c in children]
-    m = len(child_perms[0])
-    perm = [0] * (p * m)
-    for i in range(p):
-        j = (i + s) % p
-        block = child_perms[j]
-        base = j * m
-        off = i * m
-        for r in range(m):
-            perm[off + r] = base + block[r]
-    return tuple(perm)
-
-
-def element_signature(p, el):
-    """Per-level digit sums (sigma_1, ..., sigma_k) mod p, innermost first.
-
-    A linear label with digits (d_1..d_k) takes the value
-    omega^(sum d_j sigma_j) at the element, omega a fixed primitive p-th
-    root of unity.
-    """
-    if el == ():
-        return ()
-    children, s = el
-    subs = [element_signature(p, c) for c in children]
-    levels = tuple(sum(col) % p for col in zip(*subs))
-    return levels + (s % p,)
-
-
-def element_mul(p, a, b):
-    """Group product: apply b first, then a."""
-    if a == ():
-        return ()
-    ach, asft = a
-    bch, bsft = b
-    children = tuple(
-        element_mul(p, ach[i], bch[(i - asft) % p]) for i in range(p)
-    )
-    return (children, (asft + bsft) % p)
-
-
-def perm_cycle_type(perm):
-    """Cycle type of a permutation given as a tuple of images."""
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        q = start
-        while not seen[q]:
-            seen[q] = True
-            q = perm[q]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def check_budget(n, p, budget=None):
     """|P_n|, or BudgetExceeded when it is over the budget on |P_n|.
 
-    Both oracles call this first: the full oracle walks all |P_n| elements,
-    the linear one sums over the class counts of _signature_buckets.  An
-    explicit budget wins, 0 included; otherwise SYLOW_BRANCH_BUDGET is read,
-    and the default is 2^20.
+    Both oracles call this first.  Neither builds an element, so the budget
+    bounds the group order only.  An explicit budget wins, 0 included;
+    otherwise SYLOW_BRANCH_BUDGET is read, and the default is 2^20.
     """
     if budget is None:
         budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
@@ -148,15 +70,6 @@ def check_budget(n, p, budget=None):
 
 # ---------------------------------------------------------------- cyclotomics
 
-def _zeta_mul_root(p, vec, e):
-    """Multiply an exponent vector by zeta^e."""
-    out = [0] * p
-    for i, c in enumerate(vec):
-        if c:
-            out[(i + e) % p] += c
-    return tuple(out)
-
-
 def _zeta_mul(p, a, b):
     out = [0] * p
     for i, c in enumerate(a):
@@ -166,10 +79,6 @@ def _zeta_mul(p, a, b):
             if d:
                 out[(i + j) % p] += c * d
     return tuple(out)
-
-
-def _zeta_conj(p, vec):
-    return tuple(vec[(-i) % p] for i in range(p))
 
 
 def _zeta_int(vec):
@@ -187,153 +96,106 @@ def _zeta_one(p):
     return (1,) + (0,) * (p - 1)
 
 
-# --------------------------------------------------- inner products over P_n
+# ------------------------------------------------------- class sums over P_n
 
-def _convolve(left, right, join):
-    """Bucket product over disjoint points: cycle types merge, signatures join."""
-    out = Counter()
-    for (ct, sig), c in left.items():
-        for (rct, rsig), r in right.items():
-            out[tuple(sorted(ct + rct, reverse=True)), join(sig, rsig)] += c * r
-    return out
-
-
-@cache
-def _tower_buckets(p, k):
-    """Counter of (cycle type, level signature) over the height-k tower.
-
-    Polya's cycle index for H wr C_p (Kerber, Representations of Permutation
-    Groups), H the height k-1 tower: an element with top shift 0 is a p-tuple
-    of H-elements, so its bucket is the p-fold convolution of H's; one with
-    top shift s != 0 has the cycles of its cycle product in H stretched p
-    times, and each element of H is the cycle product of |H|^(p-1) tuples.
-    """
-    if k == 0:
-        return Counter({((1,), ()): 1})
-    below = _tower_buckets(p, k - 1)
-    acc = Counter({((), (0,) * (k - 1)): 1})
-    for _ in range(p):
-        acc = _convolve(acc, below, lambda a, b: tuple((x + y) % p for x, y in zip(a, b)))
-    out = Counter({(ct, sig + (0,)): c for (ct, sig), c in acc.items()})
-    weight = sum(below.values()) ** (p - 1)
-    for s in range(1, p):
-        for (ct, sig), c in below.items():
-            out[tuple(p * x for x in ct), sig + (s,)] += c * weight
-    return out
-
-
-@cache
-def _signature_buckets(n, p):
-    """Counter of (cycle type, per-factor signature) over the Sylow subgroup.
-
-    The product of the factors' _tower_buckets: the factors act on disjoint
-    points, so cycle types merge and each factor keeps its own signature.
-    No element is built, so the budget is the caller's check on |P_n|.
-    """
-    acc = Counter({((), ()): 1})
-    for h in sylow_shape(n, p):
-        acc = _convolve(acc, _tower_buckets(p, h), lambda sigs, sig: sigs + (sig,))
+def _convolve(p, *factors):
+    """Class sums of a product over disjoint points: cycle types merge, values multiply."""
+    acc = {(): _zeta_one(p)}
+    for sums in factors:
+        out = defaultdict(lambda: [0] * p)
+        for ct, val in acc.items():
+            for rct, rval in sums.items():
+                vec = out[tuple(sorted(ct + rct, reverse=True))]
+                for i, c in enumerate(_zeta_mul(p, val, rval)):
+                    vec[i] += c
+        acc = {ct: tuple(vec) for ct, vec in out.items() if any(vec)}
     return acc
+
+
+@cache
+def _label_value(p, label):
+    """A tower label's class sums: cycle type -> sum of conj(label(g)), in Z[zeta_p].
+
+    The sum runs over the elements g of the label's tower H wr C_p, H the
+    tower one level down: a p-tuple of elements of H and a top shift s.
+    With s = 0 the cycle type merges the entries' types.  With s != 0 it is
+    the type of the entries' cycle product in H stretched p times, and each
+    element of H is the cycle product of |H|^(p-1) tuples.  So:
+
+      * LEAF: {(1,): 1};
+      * an orbit label (l_1, ..., l_p) vanishes off the base (s = 0); there
+        it sums the entries' products over the p rotations, and each
+        rotation gives the same sum: p times the convolution of the
+        entries' sums;
+      * a twist (inner, t) is the product of inner over the entries at
+        s = 0: the p-fold convolution of inner's sums; at s != 0 it is
+        zeta^(ts) times inner at the cycle product, so the shifts s != 0
+        add |H|^(p-1) (sum of zeta^(-ts)) S_inner(ct) at the stretched type
+        p*ct, and that sum over s is p - 1 for t = 0 and -1 otherwise.
+
+    Cycle types whose sum is the zero vector are left out.  The dicts are
+    cached and shared, so treat them as read-only.
+    """
+    if label == tw.LEAF:
+        return {(1,): _zeta_one(p)}
+    if tw.is_orbit(label):
+        conv = _convolve(p, *(_label_value(p, sub) for sub in label[1:]))
+        return {ct: tuple(p * c for c in val) for ct, val in conv.items()}
+    inner, t = label
+    below = _label_value(p, inner)
+    out = {ct: list(val) for ct, val in _convolve(p, *(below,) * p).items()}
+    shifts = p - 1 if t == 0 else -1
+    weight = shifts * sylow_order(p ** tw.label_height(p, inner), p) ** (p - 1)
+    for ct, val in below.items():
+        acc = out.setdefault(tuple(p * x for x in ct), [0] * p)
+        for i, c in enumerate(val):
+            acc[i] += weight * c
+    return {ct: tuple(acc) for ct, acc in out.items() if any(acc)}
+
+
+def _multiplicity(p, chis, sums, order, what):
+    """(1/|P|) sum over ct of chi(ct) S(ct), which must be an integer >= 0.
+
+    chis maps each cycle type of sums to chi(ct).  The sum must be a
+    rational integer, divisible by order and not negative; else
+    ArithmeticError names what was paired.
+    """
+    acc = [0] * p
+    for ct, val in sums.items():
+        chi = chis[ct]
+        if chi:
+            for i, c in enumerate(val):
+                acc[i] += chi * c
+    mult, rem = divmod(_zeta_int(tuple(acc)), order)
+    if rem or mult < 0:
+        raise ArithmeticError(f"bad oracle multiplicity for {what}")
+    return mult
 
 
 def oracle_linear_multiplicity(la, p, psi, budget=None):
     """<chi^la restricted, psi> by direct summation, psi a linear label.
 
     psi is a digit tuple (single tower factor) or tuple of per-factor digit
-    tuples, ascending factor order.  The sum is grouped by (cycle type,
-    signature) since the summand only depends on those, and chi^la is read
-    once per cycle type.
+    tuples, ascending factor order.  Its class sums are the convolution of
+    its factors' _label_value sums, and chi^la is read once per cycle type.
     """
     la, heights = check_shape(la, p)
     n = sum(la)
     psi = tw.linear_factors(psi, p, heights)
     order = check_budget(n, p, budget)
-    buckets = _signature_buckets(n, p)
-    chis = {ct: character_value(la, ct) for ct in {ct for ct, _ in buckets}}
-    acc = [0] * p
-    for (ct, sigs), count in buckets.items():
-        chi = chis[ct]
-        if not chi:
-            continue
-        e = 0
-        for digits, sig in zip(psi, sigs):
-            e += sum(d * s for d, s in zip(digits, sig))
-        acc[(-e) % p] += count * chi
-    total = _zeta_int(tuple(acc))
-    mult, rem = divmod(total, order)
-    if rem:
-        raise ArithmeticError(f"inner product not divisible by |P|: {la}, {psi}")
-    return mult
-
-
-@cache
-def _tower_element_data(p, k):
-    """(element, cycle type) for every element of the height-k tower."""
-    return tuple((el, perm_cycle_type(element_perm(p, el))) for el in tower_elements(p, k))
-
-
-@cache
-def _label_value(p, label, el):
-    """Character value of a tower label at an element, in Z[zeta_p].
-
-    Twisted labels evaluate through the cycle product when the top shift is
-    nonzero; induced labels vanish off the base subgroup and otherwise sum
-    the factor products over the p rotations.
-    """
-    if label == tw.LEAF:
-        return _zeta_one(p)
-    children, s = el if el else ((), 0)
-    if tw.is_orbit(label):
-        subs = label[1:]
-        if s:
-            return (0,) * p
-        acc = [0] * p
-        for j in range(p):
-            term = _zeta_one(p)
-            for i, sub in enumerate(subs):
-                term = _zeta_mul(p, term, _label_value(p, sub, children[(i + j) % p]))
-            for i, c in enumerate(term):
-                acc[i] += c
-        return tuple(acc)
-    inner, t = label
-    if s == 0:
-        term = _zeta_one(p)
-        for child in children:
-            term = _zeta_mul(p, term, _label_value(p, inner, child))
-        return term
-    q = children[0]
-    for j in range(1, p):
-        q = element_mul(p, children[(j * s) % p], q)
-    return _zeta_mul_root(p, _label_value(p, inner, q), (t * s) % p)
-
-
-@cache
-def _class_sums(p, k):
-    """label -> cycle type -> sum of the conjugated label values, over the tower.
-
-    One walk of the height-k tower's elements for every label, so that
-    <chi, label> is sum over ct of chi(ct) times the label's class sum, for
-    any class function chi of S_(p^k).  Cycle types where the sum vanishes
-    are left out.
-    """
-    elements = _tower_element_data(p, k)
-    sums = {}
-    for label in tw.irr_labels(p, k):
-        by_ct = defaultdict(lambda: [0] * p)
-        for el, ct in elements:
-            acc = by_ct[ct]
-            for i, c in enumerate(_zeta_conj(p, _label_value(p, label, el))):
-                acc[i] += c
-        sums[label] = {ct: tuple(acc) for ct, acc in by_ct.items() if any(acc)}
-    return sums
+    sums = _convolve(p, *(_label_value(p, tw.linear_label(digits)) for digits in psi))
+    chis = {ct: character_value(la, ct) for ct in sums}
+    return _multiplicity(p, chis, sums, order, (la, psi))
 
 
 def oracle_full_restriction(la, p, budget=None):
     """Full decomposition of la over the tower labels by inner products.
 
-    Only for |la| = p^k within the element budget; asserts dimension
-    conservation on its own result.  chi^la is read once per cycle type and
-    paired with each label's _class_sums.
+    Only for |la| = p^k with |P| within the budget; asserts dimension
+    conservation on its own result.  chi^la is read once per cycle type of
+    the tower (the trivial label's class sums are the class sizes) and
+    paired with the _label_value sums of each label of tw.irr_labels(p, k),
+    in that order.
     """
     la, heights = check_shape(la, p)
     n = sum(la)
@@ -341,19 +203,11 @@ def oracle_full_restriction(la, p, budget=None):
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]
     order = check_budget(n, p, budget)
-    chis = {ct: character_value(la, ct) for ct in {ct for _, ct in _tower_element_data(p, k)}}
+    trivial = _label_value(p, tw.linear_label((0,) * k))
+    chis = {ct: character_value(la, ct) for ct in trivial}
     vec = {}
-    for label, sums in _class_sums(p, k).items():
-        acc = [0] * p
-        for ct, val in sums.items():
-            chi = chis[ct]
-            if chi:
-                for i, c in enumerate(val):
-                    acc[i] += chi * c
-        total = _zeta_int(tuple(acc))
-        mult, rem = divmod(total, order)
-        if rem or mult < 0:
-            raise ArithmeticError(f"bad oracle multiplicity for {la}, {label}")
+    for label in tw.irr_labels(p, k):
+        mult = _multiplicity(p, chis, _label_value(p, label), order, (la, label))
         if mult:
             vec[label] = mult
     degree = sum(m * tw.label_degree(p, lab) for lab, m in vec.items())

@@ -16,8 +16,9 @@ Linear labels are nested twist chains, identified with digit strings
 biject onto these digit strings: the hook (2^k - y, 1^y) goes to the bits of
 the reflected Gray code y ^ (y >> 1), most significant first, and the sign
 twist y -> 2^k - 1 - y flips the innermost digit.
-The module is the label algebra only; the permutation model of the tower,
-which the brute-force oracle walks, lives in oracle.
+The module is the label algebra only.  The oracle computes class sums from
+these definitions without building an element; the permutation model of
+the tower, which those sums are held against, lives in tests/elements.py.
 """
 
 from functools import cache

@@ -60,7 +60,7 @@ def test_criterion_05_degree_floor():
 
 
 def test_criterion_06_oracle():
-    # engine vs element-summation oracle: full at 8, seeded linear at 16,
+    # engine vs the class-sum oracles: full at 8, seeded linear at 16,
     # full at 9 for p = 3
     _check("oracle", 600)
 

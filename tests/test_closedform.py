@@ -311,6 +311,9 @@ def test_power_of_k_is_bounded_before_it_is_built():
         lambda: cf.halving_criterion(10**8, (2,)),
         lambda: cf.narrow_box_lin_set(2, 10**8, (2,)),
         lambda: cf.narrow_box_lin_set(3, 10**8, (2, 1)),
+        lambda: cf.almost_hook_sbc(10**8, 0, 0),
+        lambda: cf.almost_hook_sbc_recursive(10**8, 0, 0),
+        lambda: cf.almost_hook_linear_set(10**8, 0),
     ):
         with pytest.raises(ValueError, match=f"exceeds {CACHE_MAX_SIZE}"):
             call()

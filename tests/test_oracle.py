@@ -1,15 +1,18 @@
-import math
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sylowbranch import engine
 from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
 from sylowbranch.characters import character_value, plethysm_split
 from sylowbranch.partitions import partitions, sylow_shape
+
+import elements
 
 
 def test_zeta_int_reduction():
@@ -29,17 +32,17 @@ def test_zeta_algebra():
     one = orc._zeta_one(p)
     for a in vecs:
         assert orc._zeta_mul(p, a, one) == a
-        assert orc._zeta_conj(p, orc._zeta_conj(p, a)) == a
-        assert orc._zeta_mul_root(p, a, p) == a
+        assert elements.zeta_conj(p, elements.zeta_conj(p, a)) == a
+        assert elements.zeta_mul_root(p, a, p) == a
         for b in vecs:
             assert orc._zeta_mul(p, a, b) == orc._zeta_mul(p, b, a)
-            assert orc._zeta_conj(p, orc._zeta_mul(p, a, b)) == orc._zeta_mul(
-                p, orc._zeta_conj(p, a), orc._zeta_conj(p, b)
+            assert elements.zeta_conj(p, orc._zeta_mul(p, a, b)) == orc._zeta_mul(
+                p, elements.zeta_conj(p, a), elements.zeta_conj(p, b)
             )
     # conj(x) * x reduces to a nonnegative integer for group-character sums
     # of roots of unity; spot-check the norm on a pure root
-    root = orc._zeta_mul_root(p, one, 2)
-    assert orc._zeta_int(orc._zeta_mul(p, root, orc._zeta_conj(p, root))) == 1
+    root = elements.zeta_mul_root(p, one, 2)
+    assert orc._zeta_int(orc._zeta_mul(p, root, elements.zeta_conj(p, root))) == 1
 
 
 def test_full_oracle_matches_engine_at_four():
@@ -99,37 +102,34 @@ def test_oracle_budget():
 
 def test_explicit_budget_beats_environment(monkeypatch):
     monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "4")
-    orc._signature_buckets.cache_clear()
+    orc._label_value.cache_clear()
     assert orc.oracle_linear_multiplicity((4,), 2, (0, 0), budget=8) == 1
     assert orc.oracle_full_restriction((4,), 2, budget=8) == {tw.linear_label((0, 0)): 1}
     with pytest.raises(orc.BudgetExceeded):
         orc.oracle_linear_multiplicity((4,), 2, (0, 0))
 
 
-def _element_buckets(p, k):
-    """(cycle type, level signature) counts over the tower, element by element."""
-    return Counter(
-        (orc.perm_cycle_type(orc.element_perm(p, el)), orc.element_signature(p, el))
-        for el in orc.tower_elements(p, k)
-    )
-
-
-def test_tower_buckets_match_the_element_walk():
-    for p, kmax in ((2, 4), (3, 2), (5, 1)):
+def test_label_class_sums_match_the_element_walk():
+    # the recursion against the sums of the labels' values element by element,
+    # for every label; both in the basis without zeta^(p-1)
+    for p, kmax in ((2, 3), (3, 2), (5, 1)):
         for k in range(kmax + 1):
-            assert orc._tower_buckets(p, k) == _element_buckets(p, k), (p, k)
+            for label, want in elements.class_sums(p, k).items():
+                assert elements.canonical(orc._label_value(p, label)) == want, (p, k, label)
 
 
-def test_signature_buckets_are_the_factor_product():
-    for n, p in ((6, 2), (7, 2), (12, 3)):
-        factors = [_element_buckets(p, h).items() for h in sylow_shape(n, p)]
-        want = Counter()
-        for combo in product(*factors):
-            ct = tuple(sorted((x for (fct, _), _ in combo for x in fct), reverse=True))
-            want[ct, tuple(sig for (_, sig), _ in combo)] += math.prod(c for _, c in combo)
-        got = orc._signature_buckets(n, p)
-        assert got == want, (n, p)
-        assert sum(got.values()) == orc.sylow_order(n, p)
+def test_linear_class_sums_match_the_element_signatures():
+    # a linear label's value is zeta^(digits . signature), so the element
+    # walk's (cycle type, signature) counts give its class sums; every linear
+    # label of a tower, and every product label of a composite n, whose sums
+    # are the convolution of the factors' sums
+    cases = [(p**k, p) for p, kmax in ((2, 4), (3, 2), (5, 1)) for k in range(kmax + 1)]
+    for n, p in cases + [(6, 2), (7, 2), (12, 3)]:
+        heights = sylow_shape(n, p)
+        for psi in product(*(tw.linear_labels(p, h) for h in heights)):
+            got = orc._convolve(p, *(orc._label_value(p, tw.linear_label(d)) for d in psi))
+            assert elements.canonical(got) == elements.linear_class_sums(p, psi), (n, p, psi)
+        assert sum(elements.class_counts(n, p).values()) == orc.sylow_order(n, p), (n, p)
 
 
 def test_linear_oracle_matches_engine_at_bench_sizes():
@@ -144,21 +144,39 @@ def test_linear_oracle_matches_engine_at_bench_sizes():
                 assert got == engine.sbc(la, p, psi), (la, psi)
 
 
+def _norm_identity_holds(la, p):
+    # sum of m^2 over the full vector = <chi|, chi|>_P = (1/|P|) sum_ct count(ct) chi(ct)^2
+    n = sum(la)
+    counts = elements.class_counts(n, p)
+    total = sum(c * character_value(la, ct) ** 2 for ct, c in counts.items())
+    norm = sum(m * m for m in engine.restrict_sylow(la, p).values())
+    return total == orc.sylow_order(n, p) * norm
+
+
 def test_norm_identity_over_cycle_types():
-    # sum of m^2 over the full vector = <chi|, chi|>_P = (1/|P|) sum_ct count(ct) chi(ct)^2;
-    # the cycle-index buckets reach sizes the element oracle cannot
+    # the class counts, read from the trivial label's class sums, reach sizes
+    # the element walk cannot
     cases = [(la, 2) for la in partitions(16)]
     cases += [((32,), 2)] + [((32 - b, b), 2) for b in (1, 2, 3, 4, 5, 7, 9, 16)]
     cases += [(la, 3) for la in ((27,), (26, 1), (25, 2), (24, 3), (21, 6), (15, 9, 3), (9, 9, 9))]
     cases += [(la, 5) for la in ((20, 5), (15, 5, 5))]
     for la, p in cases:
-        n = sum(la)
-        counts = Counter()
-        for (ct, _), c in orc._signature_buckets(n, p).items():
-            counts[ct] += c
-        total = sum(c * character_value(la, ct) ** 2 for ct, c in counts.items())
-        norm = sum(m * m for m in engine.restrict_sylow(la, p).values())
-        assert total == orc.sylow_order(n, p) * norm, (la, p)
+        assert _norm_identity_holds(la, p), (la, p)
+
+
+@st.composite
+def shape_and_prime(draw):
+    """A partition of n <= 20 and a prime p in {2, 3, 5}."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 20))
+    return draw(st.sampled_from(partitions(n))), p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(shape_and_prime())
+def test_norm_identity_on_drawn_shapes(case):
+    la, p = case
+    assert _norm_identity_holds(la, p), case
 
 
 def test_kostka_numbers():
@@ -180,7 +198,7 @@ def test_kostka_strip_recursion_counts_the_tableaux():
 
 
 def _small_towers():
-    return [(2, k) for k in range(4)] + [(3, k) for k in range(3)]
+    return [(2, k) for k in range(5)] + [(3, k) for k in range(4)] + [(5, k) for k in range(3)]
 
 
 def test_class_sums_are_orthogonal_to_the_trivial_character():
@@ -188,10 +206,8 @@ def test_class_sums_are_orthogonal_to_the_trivial_character():
     for p, k in _small_towers():
         order = orc.sylow_order(p**k, p)
         trivial = tw.linear_label((0,) * k)
-        sums = orc._class_sums(p, k)
-        assert list(sums) == list(tw.irr_labels(p, k)), (p, k)
-        for label, by_ct in sums.items():
-            total = [sum(col) for col in zip(*by_ct.values())]
+        for label in tw.irr_labels(p, k):
+            total = [sum(col) for col in zip(*orc._label_value(p, label).values())]
             assert orc._zeta_int(tuple(total)) == order * (label == trivial), (p, k, label)
 
 
@@ -199,8 +215,9 @@ def test_class_sums_at_the_identity_are_the_degrees():
     # only the identity has cycle type 1^(p^k)
     for p, k in _small_towers():
         identity = (1,) * p**k
-        for label, by_ct in orc._class_sums(p, k).items():
-            assert orc._zeta_int(by_ct[identity]) == tw.label_degree(p, label), (p, k, label)
+        for label in tw.irr_labels(p, k):
+            value = orc._label_value(p, label)[identity]
+            assert orc._zeta_int(value) == tw.label_degree(p, label), (p, k, label)
 
 
 FULL_ORACLE_VECTORS = {
@@ -231,6 +248,24 @@ def test_full_oracle_on_every_shape_of_the_suite_sizes():
             want = FULL_ORACLE_VECTORS.get((la, p))
             if want is not None:
                 assert {tw.label_text(lab): m for lab, m in got.items()} == want, (la, p)
+
+
+def test_full_oracle_on_every_shape_of_sixteen():
+    for la in partitions(16):
+        assert orc.oracle_full_restriction(la, 2) == engine.restrict_tower(la, 2, 4), la
+
+
+def test_full_oracle_on_sampled_shapes_of_twenty_five():
+    # the first full check of the odd-p twist split at p >= 5
+    for la in random.Random(20261017).sample(partitions(25), 10):
+        assert orc.oracle_full_restriction(la, 5) == engine.restrict_tower(la, 5, 2), la
+
+
+def test_full_oracle_on_sampled_shapes_of_twenty_seven():
+    # |P_27| = 3^13 is over the default budget of 2^20
+    budget = orc.sylow_order(27, 3)
+    for la in random.Random(20261017).sample(partitions(27), 2):
+        assert orc.oracle_full_restriction(la, 3, budget=budget) == engine.restrict_tower(la, 3, 3), la
 
 
 def test_plethysm_oracle_classics():

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sylowbranch import oracle as orc
 from sylowbranch import tower as tw
 
+import elements
+
 
 def test_irr_label_counts():
     # |Irr(k)| = (m^p - m)/p + p*m from the level below
@@ -311,25 +313,25 @@ def test_sylow_order_rejects_non_prime():
 
 def test_tower_element_count_and_identity():
     for p, k in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        els = orc.tower_elements(p, k)
+        els = elements.tower_elements(p, k)
         assert len(els) == orc.sylow_order(p**k, p)
 
 
 def test_element_perms_form_a_group():
     # closure under composition and valid permutations, p=2 k=2 and p=3 k=1
     for p, k in ((2, 2), (3, 1)):
-        els = orc.tower_elements(p, k)
-        perms = {orc.element_perm(p, el) for el in els}
+        els = elements.tower_elements(p, k)
+        perms = {elements.element_perm(p, el) for el in els}
         assert len(perms) == len(els)
         n = p**k
         for perm in perms:
             assert sorted(perm) == list(range(n))
         for a in els:
             for b in els:
-                ab = orc.element_mul(p, a, b)
-                pa, pb = orc.element_perm(p, a), orc.element_perm(p, b)
+                ab = elements.element_mul(p, a, b)
+                pa, pb = elements.element_perm(p, a), elements.element_perm(p, b)
                 composed = tuple(pa[pb[i]] for i in range(n))
-                assert orc.element_perm(p, ab) == composed
+                assert elements.element_perm(p, ab) == composed
                 assert ab in els
 
 
@@ -337,30 +339,34 @@ def test_element_signature_is_a_homomorphism_coordinate():
     # the signature sums each level's digits; it must match the abelianized
     # product rule on a sample
     p, k = 2, 2
-    els = orc.tower_elements(p, k)
+    els = elements.tower_elements(p, k)
     for a in els:
         for b in els:
-            sa = orc.element_signature(p, a)
-            sb = orc.element_signature(p, b)
-            sab = orc.element_signature(p, orc.element_mul(p, a, b))
+            sa = elements.element_signature(p, a)
+            sb = elements.element_signature(p, b)
+            sab = elements.element_signature(p, elements.element_mul(p, a, b))
             assert sab == tuple((x + y) % p for x, y in zip(sa, sb))
 
 
 def test_d8_cycle_type_census():
-    census = Counter()
-    for (ct, sig), count in orc._signature_buckets(4, 2).items():
-        census[ct] += count
-    assert census == {(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 3, (4,): 2}
+    # read from the trivial label's class sums, and by walking the elements
+    census = {(1, 1, 1, 1): 1, (2, 1, 1): 2, (2, 2): 3, (4,): 2}
+    assert elements.class_counts(4, 2) == census
+    walked = Counter(elements.cycle_type(2, el) for el in elements.tower_elements(2, 2))
+    assert walked == census
 
 
 def test_sylow_elements_composite_n():
-    # P_6 = P_2 x P_4 has order 16; signatures carry one tuple per factor
-    buckets = orc._signature_buckets(6, 2)
-    assert sum(buckets.values()) == orc.sylow_order(6, 2) == 16
-    for ct, sigs in buckets:
-        assert sum(ct) == 6
-        assert len(sigs) == 2
-        assert len(sigs[0]) == 1 and len(sigs[1]) == 2
+    # P_6 = P_2 x P_4 has order 16; its class counts, read from the trivial
+    # label's class sums, merge the factors' cycle types on disjoint points
+    counts = elements.class_counts(6, 2)
+    assert sum(counts.values()) == orc.sylow_order(6, 2) == 16
+    walked = Counter()
+    for a, b in product(elements.tower_elements(2, 1), elements.tower_elements(2, 2)):
+        cycles = elements.cycle_type(2, a) + elements.cycle_type(2, b)
+        walked[tuple(sorted(cycles, reverse=True))] += 1
+    assert counts == walked
+    assert all(sum(ct) == 6 for ct in counts)
 
 
 def test_budget_enforced(monkeypatch):
