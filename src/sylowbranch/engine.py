@@ -54,8 +54,15 @@ shape, with no ranks.
 
 For a general n the Sylow subgroup is the product of the towers given by
 the base-p digits of n.  restrict_sylow and linear_sylow take the product
-by one recursion over those factors, _sylow_product: peel the top factor
+by one recursion over those factors, _sylow_product: peel one end factor
 with one split_pairs, then multiply by the remaining shapes' products.
+The end is the top factor, unless the memo already holds the product of
+every shape one bottom factor smaller, as it does in a sweep over
+ascending n: then the bottom factor's split, the smallest, is walked
+instead.  A cold call stores only shapes one top factor smaller, so the
+rule's first O(rows) lookup misses there and the top is peeled (at odd p
+a shape whose factors all have the bottom height can meet it, and then
+both ends peel the same split).
 linear_sylow memoises every such product on (p, la) in _lin_sylow_memo,
 so the sweeps that ask for one shape's linear constituents again read
 them; like every memoised vector here, its dicts are read-only.
@@ -107,6 +114,7 @@ def _stage_a(la, p, k):
 
 
 def _check_size(la, p, k):
+    check_prime(p)
     n = check_power(p, k)
     la = check_partition(la)
     if sum(la) != n:
@@ -239,8 +247,9 @@ def _twin(vec, p, product):
 
 def _tower(memo, la, p, k, full):
     """restrict_tower's body if full, else linear_tower's: memo lookup, check and store."""
-    # a hit is on a key that was checked when it was stored
-    hit = memo.get((p, k, la)) if isinstance(la, tuple) else None
+    # a hit is on a key that was checked when it was stored; a float or bool
+    # p or k can equal such a key's, so it is read only for ints
+    hit = memo.get((p, k, la)) if type(p) is type(k) is int and isinstance(la, tuple) else None
     if hit is None:
         la = _check_size(la, p, k)
         hit = memo.get((p, k, la))
@@ -274,15 +283,43 @@ def linear_tower(la, p, k):
     return _tower(_lin_memo, la, p, k, False)
 
 
+def _rests_held(la, m, p, memo):
+    """Whether memo holds the product of every shape nu in la with |nu| = |la| - m.
+
+    Every such nu is a remaining shape of the split by m, because
+    s_{la/nu} != 0 for nu in la.  la less its last m cells, taken from the
+    bottom row up, is one of them and is looked up first: O(rows), and on a
+    cold memo the answer.
+    """
+    rest = list(la)
+    while m >= rest[-1]:
+        m -= rest.pop()
+    rest[-1] -= m
+    if (p, tuple(rest)) not in memo:
+        return False
+    return all((p, nu) in memo for nu in ch.subshapes(la, sum(rest)))
+
+
 def _sylow_product(tower, la, p, heights, memo):
     """The Young-subgroup factor product of la over Sylow factors of these heights.
 
-    A recursion over the factors, as deep as there are factors: the top
-    one, of size p^top, is peeled by one split_pairs(la, p^top), the
-    vectors c * tower(mu) are summed into one tail per remaining shape nu,
-    and each tail is multiplied by nu's product over the other factors,
-    which are heights[:-1] = sylow_shape(|nu|, p).  memo maps (p, la) to
-    its read-only product and is read and filled at every level.
+    A recursion over the factors, as deep as there are factors: one end
+    factor, of size p^h, is peeled by one split_pairs(la, p^h), the vectors
+    c * tower(mu) are summed into one tail per remaining shape nu, and each
+    tail is multiplied by nu's product over the other factors, which are
+    sylow_shape(|nu|, p).  memo maps (p, la) to its read-only product and is
+    read and filled at every level.
+
+    The peeled factor is the top one, unless memo already holds the product
+    of every remaining shape of the bottom one, heights[0] (_rests_held):
+    then that one is peeled, and its label goes in front of nu's keys, so
+    the factors stay in ascending order; the product is the same, since the
+    Young restriction is associative.  A sweep over ascending n meets the
+    rule, and its bottom split is the small one (corner removal at odd n
+    and p = 2).  A cold call stores only the products of shapes one top
+    factor smaller, which are one bottom factor smaller only where all of
+    la's factors have the bottom height (at odd p), and there both ends
+    peel the same split; elsewhere the first lookup of _rests_held misses.
     """
     vec = memo.get((p, la))
     if vec is not None:
@@ -294,17 +331,20 @@ def _sylow_product(tower, la, p, heights, memo):
     elif len(heights) < 2:
         vec = {(lab,): m for lab, m in tower(la, p, heights[0]).items()} if heights else {(): 1}
     else:
-        top = heights[-1]
+        bottom = _rests_held(la, p ** heights[0], p, memo)
+        h, rest = (heights[0], heights[1:]) if bottom else (heights[-1], heights[:-1])
         tails = defaultdict(lambda: defaultdict(int))
-        for (mu, nu), c in ch.split_pairs(la, p**top).items():
+        for (mu, nu), c in ch.split_pairs(la, p**h).items():
             tail = tails[nu]
-            for lab, x in tower(mu, p, top).items():
-                tail[lab] += c * x
+            for lab, x in tower(mu, p, h).items():
+                tail[(lab,)] += c * x
         out = defaultdict(int)
         for nu, tail in tails.items():
-            for key, a in _sylow_product(tower, nu, p, heights[:-1], memo).items():
-                for lab, b in tail.items():
-                    out[key + (lab,)] += a * b
+            inner = _sylow_product(tower, nu, p, rest, memo)
+            # the peeled factor's key goes at its end of nu's keys
+            for first, a in (tail if bottom else inner).items():
+                for last, b in (inner if bottom else tail).items():
+                    out[first + last] += a * b
         vec = dict(out)
     memo[p, la] = vec
     return vec
@@ -441,8 +481,7 @@ def load_cache(path):
     for i, entry in enumerate(entries):
         try:
             p, k = _json_int(entry["p"]), _json_int(entry["k"])
-            check_prime(p)
-            # map is lazy, so k is bounded before a part is read; only the
+            # map is lazy, so p and k are checked before a part is read; only the
             # text save_cache writes for la is accepted
             text = entry["lambda"]
             la = _check_size(map(int, text.split(",")), p, k)

@@ -203,11 +203,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def check_prime(p):
     """Raise ValueError unless p is a prime below 2^64.
 
+    p must be an int, not a bool or a float that equals one: a memo key
+    holding 2.0 would hit the entry of 2, and the walks need int sizes.
     Past trial division by the primes up to 37, p must be a strong probable
     prime to each of them as a base: with p - 1 = d 2^s, d odd, a^d = 1 or
     a^(d 2^r) = -1 mod p for some r < s.  That test has no false positive
     below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86 (2017)).
     """
+    if type(p) is not int:
+        raise ValueError(f"p must be a prime of type int, got {p!r}")
     if p >= 2**64:
         raise ValueError(f"p must be a prime below 2^64, got {p}")
     if p in _SMALL_PRIMES:
@@ -242,10 +246,14 @@ def sylow_shape(n, p):
 
 
 def check_power(p, k):
-    """p^k, or ValueError when it passes CACHE_MAX_SIZE.
+    """p^k, or ValueError unless k is an int >= 0 and p^k is at most CACHE_MAX_SIZE.
 
-    k is checked first, so that a huge k never builds p^k.
+    k is checked first, so that a huge k never builds p^k.  A float or bool
+    k would be stored in a memo key and written by save_cache as text that
+    load_cache rejects (1.0) or that is not JSON (True).
     """
+    if type(k) is not int or k < 0:
+        raise ValueError(f"k must be an int >= 0, got {k!r}")
     if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:
         raise ValueError(f"size {p}^{k} exceeds {CACHE_MAX_SIZE}")
     return p**k

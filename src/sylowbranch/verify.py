@@ -128,6 +128,9 @@ def _classification_sweep(p, ns):
     """Failures and shape count of check_classification over all shapes of each n."""
     failures = []
     shapes = 0
+    # ascending n leaves every shape one bottom factor smaller memoised, so
+    # engine._sylow_product peels the small bottom split; the order is for
+    # speed only, as either peel gives the same product
     for n in ns:
         for la in partitions(n):
             out, cnt, ok = check_classification(p, n, la)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sylowbranch import characters, engine
+from sylowbranch import characters, engine, oracle
+from sylowbranch import closedform as cf
 from sylowbranch import tower as tw
 from sylowbranch.characters import cyclic_split, plethysm_split, sn_degree, split_pairs
-from sylowbranch.partitions import CACHE_MAX_SIZE, conjugate, hook, partitions, sylow_shape
+from sylowbranch.partitions import CACHE_MAX_SIZE, check_power, check_prime, conjugate, hook, partitions, sylow_shape
 
 
 def test_twisted_tensor_power_split_is_orbit_convolution():
@@ -71,11 +72,9 @@ def test_restrict_tower_trivial_levels():
 
 @pytest.mark.parametrize("name", ["restrict_tower", "linear_tower"])
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 2)])
-def test_tower_entry_checks_a_miss_and_answers_a_tuple_hit_unchecked(monkeypatch, name, p, k):
+def test_tower_entry_checks_a_miss_and_answers_a_tuple_hit_unchecked(monkeypatch, fresh_memos, name, p, k):
     # both towers go through engine._tower: a list is checked and then hits
     # the vector its tuple stored, and a hit on a tuple skips _check_size
-    monkeypatch.setattr(engine, "_full_memo", {})
-    monkeypatch.setattr(engine, "_lin_memo", {})
     tower = getattr(engine, name)
     la = (p**k - 2, 2)
     vec = tower(la, p, k)
@@ -358,25 +357,110 @@ def test_conjugation_fixes_the_full_restriction_at_odd_p(case):
     assert engine.restrict_sylow(conjugate(la), p) == engine.restrict_sylow(la, p)
 
 
-def test_sylow_product_matches_the_young_fold(monkeypatch):
-    # the reference folds every factor at once with young_decompose; the
-    # engine peels the top factor and recurses on the remaining shapes
-    for memo in ("_full_memo", "_lin_memo", "_lin_sylow_memo"):
-        monkeypatch.setattr(engine, memo, {})
+def test_sylow_product_matches_the_young_fold(fresh_memos):
+    # the reference folds every factor at once with young_decompose.  In the
+    # first run the product memo is cleared before each shape (restrict_sylow
+    # keeps its products for one call anyway), so the engine peels the top
+    # factor, or at odd p a bottom factor of the same height; in the second,
+    # a sweep over ascending n, the memo holds the products of the smaller
+    # shapes, and the bottom factor is peeled
     lin, full = (engine.linear_sylow, engine.linear_tower), (engine.restrict_sylow, engine.restrict_tower)
     ranges = [lin + (2, 17), lin + (3, 14), lin + (5, 12), full + (2, 15), full + (3, 11)]
-    checked = 0
-    for sylow, tower, p, n_max in ranges:
-        for n in range(n_max + 1):
-            heights = sylow_shape(n, p)
-            if len(heights) < 2:
-                continue
-            sizes = [p**h for h in heights]
-            for la in partitions(n):
-                want = characters.young_decompose(la, sizes, lambda mu, i: tower(mu, p, heights[i]))
-                assert sylow(la, p) == want, (p, la)
-                checked += 1
-    assert checked == 2499
+    memos = (engine._full_memo, engine._lin_memo, engine._lin_sylow_memo)
+    runs = []
+    for cold in (True, False):
+        for memo in memos:
+            memo.clear()
+        fresh_memos.clear()
+        products = {}
+        checked = 0
+        for sylow, tower, p, n_max in ranges:
+            for n in range(n_max + 1):
+                heights = sylow_shape(n, p)
+                if len(heights) < 2:
+                    continue
+                sizes = [p**h for h in heights]
+                for la in partitions(n):
+                    if cold:
+                        engine._lin_sylow_memo.clear()
+                    want = characters.young_decompose(la, sizes, lambda mu, i: tower(mu, p, heights[i]))
+                    assert sylow(la, p) == want, (p, la)
+                    products.update(engine._lin_sylow_memo)
+                    checked += 1
+        assert checked == 2499
+        # only the linear p = 2 bottom peel splits a shape of 15 by 1
+        assert bool(fresh_memos[15, 1]) is not cold
+        runs.append(products)
+    assert runs[0] == runs[1]
+
+
+def test_ascending_sweep_peels_the_bottom_factor(fresh_memos):
+    # once every shape of 14 is memoised, each shape of 15 = 1 + 2 + 4 + 8
+    # is split by 1 (corner removal), never by 8
+    for n in range(16):
+        for la in partitions(n):
+            engine.linear_sylow(la, 2)
+    assert fresh_memos[15, 1] and not fresh_memos[15, 8]
+
+
+@pytest.mark.parametrize(
+    "la, p, calls",
+    [
+        ((8, 6, 4, 3, 2), 2, {(3, 2): 2, (7, 4): 8, (23, 16): 1}),
+        ((9, 7, 5, 3, 1), 3, {(2, 1): 3, (4, 3): 3, (6, 3): 63, (7, 3): 8, (16, 9): 60, (25, 9): 1}),
+    ],
+)
+def test_a_cold_product_peels_the_top_factor(fresh_memos, la, p, calls):
+    # a cold call finds no product one bottom factor smaller, so it makes
+    # the split_pairs calls of the top peel, by (|la|, m)
+    engine.linear_sylow(la, p)
+    assert fresh_memos == calls
+
+
+_GATED = {
+    "check_prime": check_prime,
+    "sylow_shape": lambda bad: sylow_shape(4, bad),
+    "check_power": lambda bad: check_power(2, bad),
+    "restrict_tower p": lambda bad: engine.restrict_tower((1, 1), bad, 1),
+    "restrict_tower k": lambda bad: engine.restrict_tower((1, 1), 2, bad),
+    "linear_tower p": lambda bad: engine.linear_tower((1, 1), bad, 1),
+    "linear_tower k": lambda bad: engine.linear_tower((1, 1), 2, bad),
+    "restrict_sylow": lambda bad: engine.restrict_sylow((2, 1), bad),
+    "linear_sylow": lambda bad: engine.linear_sylow((2, 1), bad),
+    "sbc": lambda bad: engine.sbc((2, 1), bad, ((0,), (0,))),
+    "count_lin": lambda bad: engine.count_lin((2, 1), bad),
+    "oracle_full_restriction": lambda bad: oracle.oracle_full_restriction((1, 1), bad),
+    "oracle_linear_multiplicity": lambda bad: oracle.oracle_linear_multiplicity((2, 1), bad, ((0,), (0,))),
+    "check_classification_domain": lambda bad: cf.check_classification_domain(bad, 4),
+    "narrow_box_lin_set p": lambda bad: cf.narrow_box_lin_set(bad, 2, (3, 1)),
+    "narrow_box_lin_set k": lambda bad: cf.narrow_box_lin_set(2, bad, (3, 1)),
+    "almost_hook_sbc": lambda bad: cf.almost_hook_sbc(bad, 0, 0),
+    "almost_hook_linear_set": lambda bad: cf.almost_hook_linear_set(bad, 0),
+    "halving_criterion": lambda bad: cf.halving_criterion(bad, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True, -1], ids=["float", "bool", "negative"])
+def test_gates_reject_a_p_or_k_that_is_not_a_valid_int(fresh_memos, tmp_path, bad):
+    # 2.0 and True equal ints, so they once passed check_prime and
+    # check_power, reached the walks or the memo keys, and a saved cache
+    # held "k": 1.0, which load_cache rejects, or "k": true
+    engine.restrict_tower((2, 1, 1), 2, 2)
+    for name, call in _GATED.items():
+        try:
+            call(bad)
+        except ValueError:
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{name} raised {exc!r} on {bad!r}") from exc
+        raise AssertionError(f"{name} accepted {bad!r}")
+    assert all(type(p) is type(k) is int for p, k, _ in engine._full_memo)
+    saved = dict(engine._full_memo)
+    path = tmp_path / "cache.json"
+    engine.save_cache(path)
+    engine._full_memo.clear()
+    assert engine.load_cache(path) == len(saved)
+    assert engine._full_memo == saved
 
 
 def test_cache_roundtrip(tmp_path):
