@@ -11,15 +11,17 @@ Commands:
 
 Exit codes: 1 usage error, 2 domain error (malformed or empty partition or
 label, size mismatch, a partition of more than 4096, classify --n above
-60, table --k below 2 or above 12, verify --n-max below 4, p not a
-prime, corrupt cache, a cache file that cannot be read or written, input
-too large for the recursion depth or for memory), 3 oracle budget on |P_n|
+60, table --k below 2 or above 12, p not a prime, unknown verify suite,
+corrupt cache, a cache file that cannot be read or written, input too
+large for the recursion depth or for memory), 3 oracle budget on |P_n|
 exceeded, 4 verification failure.
 
 sbc, lin and restrict read --lambda and --p through partitions.check_shape,
 the library's one gate for a (partition, prime) pair.  The oracle budget is
 the SYLOW_BRANCH_BUDGET environment variable's, which main neither reads
 nor writes: main runs in-process under the tests and the benchmark.
+verify takes a suite name and no option: its seeds and ranges are the
+verify module's constants, and classify --p 2 --n N sweeps one n <= 60.
 
 Only restrict reads and writes the --cache file; it writes it only when the
 file is new or the run computed a full vector the file did not hold.  lin
@@ -180,10 +182,7 @@ def cmd_table(args):
 
 def cmd_verify(args):
     names = None if args.suite == "all" else [args.suite]
-    if args.n_max is not None and args.n_max < 4:
-        # the p=2 classification sweep starts at n=4, so it would check nothing
-        raise ValueError(f"--n-max must be at least 4, got {args.n_max}")
-    results = ver.run(names, n_max=args.n_max, seed=args.seed)
+    results = ver.run(names)
     sys.stdout.flush()
     if not all(r.ok for r in results):
         raise _VerificationFailed("verification failed")
@@ -227,8 +226,6 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run a named verification sweep")
     p_ver.add_argument("suite", nargs="?", default="all")
-    p_ver.add_argument("--n-max", type=int, default=None, help="cap for the p=2 classification sweep")
-    p_ver.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     p_ver.set_defaults(fn=cmd_verify)
     return top
 

@@ -91,7 +91,7 @@ from math import prod
 
 from . import characters as ch
 from . import tower as tw
-from .partitions import check_partition, check_power, check_prime, check_shape, conjugate, format_partition
+from .partitions import check_power, check_shape, conjugate, format_partition
 
 _full_memo = {}
 _lin_memo = {}
@@ -111,15 +111,6 @@ def _stage_a(la, p, k):
         for mus, c in ch.young_decompose(la, (m,) * p).items()
         if mus[0] == min(mus) and mus == min(tw.rotations(mus))
     }
-
-
-def _check_size(la, p, k):
-    check_prime(p)
-    n = check_power(p, k)
-    la = check_partition(la)
-    if sum(la) != n:
-        raise ValueError(f"|{la}| != {p}^{k}")
-    return la
 
 
 def _level(la, p, k, full):
@@ -251,7 +242,7 @@ def _tower(memo, la, p, k, full):
     # p or k can equal such a key's, so it is read only for ints
     hit = memo.get((p, k, la)) if type(p) is type(k) is int and isinstance(la, tuple) else None
     if hit is None:
-        la = _check_size(la, p, k)
+        la, _ = check_shape(la, p, check_power(p, k))
         hit = memo.get((p, k, la))
     if hit is not None:
         return hit
@@ -484,7 +475,7 @@ def load_cache(path):
             # map is lazy, so p and k are checked before a part is read; only the
             # text save_cache writes for la is accepted
             text = entry["lambda"]
-            la = _check_size(map(int, text.split(",")), p, k)
+            la, _ = check_shape(map(int, text.split(",")), p, check_power(p, k))
             if format_partition(la) != text:
                 raise ValueError(f"lambda {text!r} is not as save_cache writes it")
             if (p, k, la) in loaded:

@@ -24,6 +24,9 @@ Two routes:
     coefficients by triangular elimination against Kostka numbers, which
     come from removing horizontal strips.
 
+Both character oracles first check |P_n| against SYLOW_BRANCH_BUDGET
+(check_budget), the only budget setting.
+
 Everything here deliberately avoids the engine and the lattice-filling code
 paths in characters (only character values are shared, and those are pinned
 separately by orthogonality tests).
@@ -53,15 +56,14 @@ def sylow_order(n, p):
     return p**e
 
 
-def check_budget(n, p, budget=None):
+def check_budget(n, p):
     """|P_n|, or BudgetExceeded when it is over the budget on |P_n|.
 
     Both oracles call this first.  Neither builds an element, so the budget
-    bounds the group order only.  An explicit budget wins, 0 included;
-    otherwise SYLOW_BRANCH_BUDGET is read, and the default is 2^20.
+    bounds the group order only.  The budget is SYLOW_BRANCH_BUDGET, read on
+    every call, 0 included; the default is 2^20.
     """
-    if budget is None:
-        budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
+    budget = int(os.environ.get("SYLOW_BRANCH_BUDGET", 2**20))
     order = sylow_order(n, p)
     if order > budget:
         raise BudgetExceeded(f"|P_{n}| = {order} exceeds the element budget {budget}")
@@ -172,7 +174,7 @@ def _multiplicity(p, chis, sums, order, what):
     return mult
 
 
-def oracle_linear_multiplicity(la, p, psi, budget=None):
+def oracle_linear_multiplicity(la, p, psi):
     """<chi^la restricted, psi> by direct summation, psi a linear label.
 
     psi is a digit tuple (single tower factor) or tuple of per-factor digit
@@ -182,13 +184,13 @@ def oracle_linear_multiplicity(la, p, psi, budget=None):
     la, heights = check_shape(la, p)
     n = sum(la)
     psi = tw.linear_factors(psi, p, heights)
-    order = check_budget(n, p, budget)
+    order = check_budget(n, p)
     sums = _convolve(p, *(_label_value(p, tw.linear_label(digits)) for digits in psi))
     chis = {ct: character_value(la, ct) for ct in sums}
     return _multiplicity(p, chis, sums, order, (la, psi))
 
 
-def oracle_full_restriction(la, p, budget=None):
+def oracle_full_restriction(la, p):
     """Full decomposition of la over the tower labels by inner products.
 
     Only for |la| = p^k with |P| within the budget; asserts dimension
@@ -202,7 +204,7 @@ def oracle_full_restriction(la, p, budget=None):
     if len(heights) != 1:
         raise ValueError(f"full oracle needs |la| a power of {p}, got {n}")
     k = heights[0]
-    order = check_budget(n, p, budget)
+    order = check_budget(n, p)
     trivial = _label_value(p, tw.linear_label((0,) * k))
     chis = {ct: character_value(la, ct) for ct in trivial}
     vec = {}

@@ -165,9 +165,11 @@ def two_block_pairs(k):
     member names its self-pairing witnesses one level down: the hook
     (2^{k-1} - z, 1^z) paired with the almost hook at x = 2^{k-2} - 2, or,
     when z is None, the almost hook at x taken twice.  x may be out of
-    range, for the boundary members.  The dict is read-only.
+    range, for the boundary members.  The dict is read-only.  k is bounded
+    by check_power first: the table holds about 1.5 * 2^k members of up to
+    2^k parts each.
     """
-    n = 2**k
+    n = check_power(2, k)
     half, quarter = n // 2, n // 4
     # the generic rows of (e) and (f) first; a later row overrides an earlier one
     rows = {}
@@ -246,12 +248,14 @@ def sylow_shape(n, p):
 
 
 def check_power(p, k):
-    """p^k, or ValueError unless k is an int >= 0 and p^k is at most CACHE_MAX_SIZE.
+    """p^k, or ValueError unless p is a prime, k an int >= 0 and p^k at most CACHE_MAX_SIZE.
 
-    k is checked first, so that a huge k never builds p^k.  A float or bool
-    k would be stored in a memo key and written by save_cache as text that
-    load_cache rejects (1.0) or that is not JSON (True).
+    p is checked first, by check_prime, and then k, so that p^k is built
+    only from an int p and a bounded k.  A float or bool k would be stored
+    in a memo key and written by save_cache as text that load_cache rejects
+    (1.0) or that is not JSON (True).
     """
+    check_prime(p)
     if type(k) is not int or k < 0:
         raise ValueError(f"k must be an int >= 0, got {k!r}")
     if k > CACHE_MAX_SIZE.bit_length() or p**k > CACHE_MAX_SIZE:

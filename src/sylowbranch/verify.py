@@ -10,13 +10,14 @@ acceptance tests and the CLI both rely on.
 
 Suite names describe what is checked.  The historical aliases (`thm11`,
 `thm12`, `thm13`) map onto classify-two, classify-odd and hook-grid
-respectively; `run`, and so the CLI's `verify`, accepts them.  The oracle
-calls take no budget argument, so the SYLOW_BRANCH_BUDGET environment
-variable, or the 2^20 default, bounds them; a suite over it raises
+respectively; `run`, and so the CLI's `verify`, accepts them.  Every range
+and seed is a module constant, and `run` calls each suite with none of its
+arguments; hook_grid and oracle_equivalence still take a seed, for callers
+that draw other samples.  The SYLOW_BRANCH_BUDGET environment variable, or
+the 2^20 default, bounds the oracle calls; a suite over it raises
 oracle.BudgetExceeded.
 """
 
-import inspect
 import random
 from collections import namedtuple
 
@@ -31,9 +32,11 @@ Result = namedtuple("Result", "name ok detail")
 
 DEFAULT_SEED = 20260816
 # Suite sizes: seeded k=5 engine checks in hook-grid, seeded n=16 linear
-# labels in oracle, and the prime and range of n that classify-odd sweeps.
+# labels in oracle, the range of n that classify-two sweeps, and the prime
+# and range of n that classify-odd sweeps.
 HOOK_GRID_ENGINE_TRIPLES = 50
 ORACLE_SAMPLE = 20
+CLASSIFY_TWO_RANGE = (4, 17)
 CLASSIFY_ODD_P = 3
 CLASSIFY_ODD_RANGE = (9, 12)
 
@@ -140,11 +143,12 @@ def _classification_sweep(p, ns):
     return failures, shapes
 
 
-def classify_two(n_max=17):
-    """Engine linear-constituent counts vs the p=2 classification, n <= n_max."""
-    failures, shapes = _classification_sweep(2, range(4, n_max + 1))
+def classify_two():
+    """Engine linear-constituent counts vs the p=2 classification over CLASSIFY_TWO_RANGE."""
+    lo, hi = CLASSIFY_TWO_RANGE
+    failures, shapes = _classification_sweep(2, range(lo, hi + 1))
     return _result(
-        "classify-two", failures, f"{shapes} shapes over n=4..{n_max}, witnesses exact in every |Lin|<=2 case"
+        "classify-two", failures, f"{shapes} shapes over n={lo}..{hi}, witnesses exact in every |Lin|<=2 case"
     )
 
 
@@ -409,12 +413,11 @@ ALIASES = {
 CRITERION = {name: i + 1 for i, name in enumerate(SUITES)}
 
 
-def run(names=None, **kwargs):
+def run(names=None):
     """Run suites by name (all of them by default) and print labeled lines.
 
-    Returns the list of Results.  Keyword arguments are forwarded to suites
-    that accept them (n_max, seed).  An unknown name raises ValueError
-    before any suite runs.
+    Returns the list of Results.  An unknown name raises ValueError before
+    any suite runs.
     """
     names = list(SUITES) if names is None else [ALIASES.get(name, name) for name in names]
     for name in names:
@@ -422,10 +425,7 @@ def run(names=None, **kwargs):
             raise ValueError(f"unknown suite {name!r} (available: {', '.join(SUITES)}, all)")
     results = []
     for name in names:
-        fn = SUITES[name]
-        params = inspect.signature(fn).parameters
-        accepted = {k: v for k, v in kwargs.items() if v is not None and k in params}
-        res = fn(**accepted)
+        res = SUITES[name]()
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
         print(f"criterion {CRITERION[name]:02d} {name}: {status} - {res.detail}")

@@ -8,6 +8,7 @@ After the battery, `verify all` runs once more in a fresh interpreter and
 its lines are compared with the benchmark's reference.
 """
 
+import inspect
 import re
 import subprocess
 import sys
@@ -22,9 +23,9 @@ from sylowbranch import verify as ver
 VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/references/verify-all.txt"
 
 
-def _check(name, budget_seconds, **kwargs):
+def _check(name, budget_seconds):
     t0 = time.monotonic()
-    res = ver.SUITES[name](**kwargs)
+    res = ver.SUITES[name]()
     elapsed = time.monotonic() - t0
     status = "PASS" if res.ok else "FAIL"
     print(f"criterion {ver.CRITERION[name]:02d} {name}: {status} - {res.detail}")
@@ -105,6 +106,18 @@ def test_conservation_catches_a_broken_twist(monkeypatch, broken):
     res = ver.conservation()
     assert not res.ok
     assert res.detail == "twist symmetry fails at p=2, (3, 1) and (2, 1, 1)"
+
+
+def test_seeded_suites_still_take_a_seed():
+    # perfbench/worker.py passes its seed to each suite with a seed
+    # parameter; verify itself calls every suite with no argument
+    seeded = [name for name, fn in ver.SUITES.items() if inspect.signature(fn).parameters]
+    assert seeded == ["hook-grid", "oracle"]
+    for name in seeded:
+        fn = ver.SUITES[name]
+        assert fn(seed=ver.DEFAULT_SEED) == fn()
+        res = fn(seed=1)
+        assert res.ok, res.detail
 
 
 def test_verify_all_matches_the_bench_reference():

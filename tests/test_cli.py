@@ -105,10 +105,10 @@ def test_classify_table():
 
 
 def test_verify_suite_and_alias():
-    r = run_cli("verify", "thm11", "--n-max", "8")
+    r = run_cli("verify", "thm11")
     assert r.returncode == 0
-    assert r.stdout.startswith("criterion 03 classify-two: PASS - 60 shapes")
-    full = run_cli("verify", "classify-two", "--n-max", "8")
+    assert r.stdout.startswith("criterion 03 classify-two: PASS - 1205 shapes over n=4..17")
+    full = run_cli("verify", "classify-two")
     assert full.stdout == r.stdout
 
 
@@ -128,6 +128,16 @@ def test_exit_code_usage():
     assert run_cli().returncode == 1
     assert run_cli("nosuch").returncode == 1
     assert run_cli("sbc", "--p", "2", "--lambda", "6,2").returncode == 1
+    # verify takes no option: its ranges and seeds are fixed, and
+    # classify --p 2 --n N sweeps one n
+    for args in (
+        ("verify", "classify-two", "--n-max", "3"),
+        ("verify", "classify-two", "--n-max", "8"),
+        ("verify", "all", "--seed", "3"),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 1, (args, r.stderr)
+        assert r.stdout == ""
 
 
 def test_exit_code_domain():
@@ -149,7 +159,6 @@ def test_exit_code_domain():
         ("classify", "--p", "2", "--n", "0"),
         ("table", "--k", "-1"),
         ("table", "--k", "1"),
-        ("verify", "classify-two", "--n-max", "3"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, (args, r.stderr)

@@ -13,7 +13,16 @@ from sylowbranch import characters, engine, oracle
 from sylowbranch import closedform as cf
 from sylowbranch import tower as tw
 from sylowbranch.characters import cyclic_split, plethysm_split, sn_degree, split_pairs
-from sylowbranch.partitions import CACHE_MAX_SIZE, check_power, check_prime, conjugate, hook, partitions, sylow_shape
+from sylowbranch.partitions import (
+    CACHE_MAX_SIZE,
+    check_power,
+    check_prime,
+    check_shape,
+    conjugate,
+    hook,
+    partitions,
+    sylow_shape,
+)
 
 
 def test_twisted_tensor_power_split_is_orbit_convolution():
@@ -74,7 +83,7 @@ def test_restrict_tower_trivial_levels():
 @pytest.mark.parametrize("p, k", [(2, 3), (3, 2)])
 def test_tower_entry_checks_a_miss_and_answers_a_tuple_hit_unchecked(monkeypatch, fresh_memos, name, p, k):
     # both towers go through engine._tower: a list is checked and then hits
-    # the vector its tuple stored, and a hit on a tuple skips _check_size
+    # the vector its tuple stored, and a hit on a tuple skips check_shape
     tower = getattr(engine, name)
     la = (p**k - 2, 2)
     vec = tower(la, p, k)
@@ -86,7 +95,7 @@ def test_tower_entry_checks_a_miss_and_answers_a_tuple_hit_unchecked(monkeypatch
     def unreachable(*args):
         raise AssertionError("a tuple memo hit was checked again")
 
-    monkeypatch.setattr(engine, "_check_size", unreachable)
+    monkeypatch.setattr(engine, "check_shape", unreachable)
     assert tower(la, p, k) is vec
 
 
@@ -183,7 +192,8 @@ def test_inputs_above_the_size_bound_are_rejected_before_any_split(monkeypatch):
         for k in (13, 40, 10**12):
             with pytest.raises(ValueError, match=bound):
                 tower(big, 2, k)
-    assert engine._check_size((CACHE_MAX_SIZE,), 2, 12) == (CACHE_MAX_SIZE,)
+    # the bound itself passes the gate the towers call on a miss
+    assert check_shape((CACHE_MAX_SIZE,), 2, check_power(2, 12)) == ((CACHE_MAX_SIZE,), (12,))
 
 
 def test_lin_constituents_remark_values():
@@ -461,6 +471,24 @@ def test_gates_reject_a_p_or_k_that_is_not_a_valid_int(fresh_memos, tmp_path, ba
     engine._full_memo.clear()
     assert engine.load_cache(path) == len(saved)
     assert engine._full_memo == saved
+
+
+@pytest.mark.parametrize("p", ["2", 2.0, 4], ids=["str", "float", "composite"])
+def test_a_p_that_is_not_a_valid_int_fails_at_the_gate_before_k_is_read(fresh_memos, p):
+    # check_power checks p before it reads k or builds p^k, so a str p is a
+    # ValueError, not a TypeError from p**k; a bad k would be named first if
+    # it were read before p
+    gated = (
+        lambda k: engine.restrict_tower((1, 1), p, k),
+        lambda k: engine.linear_tower((1, 1), p, k),
+        lambda k: cf.narrow_box_lin_set(p, k, (1, 1)),
+        lambda k: check_power(p, k),
+    )
+    for call in gated:
+        for k in (1, "k", 10**100):
+            with pytest.raises(ValueError, match="p must be a prime"):
+                call(k)
+    assert not engine._full_memo and not engine._lin_memo
 
 
 def test_cache_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import defaultdict
 from itertools import product
@@ -93,20 +94,29 @@ def test_linear_oracle_validates_label_shape():
         orc.oracle_linear_multiplicity((4,), 2, (0, 0, 0))
 
 
-def test_oracle_budget():
-    with pytest.raises(orc.BudgetExceeded):
-        orc.oracle_linear_multiplicity((8,), 2, (0, 0, 0), budget=4)
-    with pytest.raises(orc.BudgetExceeded):
-        orc.oracle_full_restriction((8,), 2, budget=4)
-
-
-def test_explicit_budget_beats_environment(monkeypatch):
+def test_oracle_budget(monkeypatch):
     monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "4")
-    orc._label_value.cache_clear()
-    assert orc.oracle_linear_multiplicity((4,), 2, (0, 0), budget=8) == 1
-    assert orc.oracle_full_restriction((4,), 2, budget=8) == {tw.linear_label((0, 0)): 1}
     with pytest.raises(orc.BudgetExceeded):
-        orc.oracle_linear_multiplicity((4,), 2, (0, 0))
+        orc.oracle_linear_multiplicity((8,), 2, (0, 0, 0))
+    with pytest.raises(orc.BudgetExceeded):
+        orc.oracle_full_restriction((8,), 2)
+
+
+def test_the_environment_is_the_only_budget(monkeypatch):
+    # |P_4| = 8: the variable is read on every call, and 0 is honoured, not
+    # read as unset
+    orc._label_value.cache_clear()
+    monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "8")
+    assert orc.oracle_linear_multiplicity((4,), 2, (0, 0)) == 1
+    assert orc.oracle_full_restriction((4,), 2) == {tw.linear_label((0, 0)): 1}
+    for budget in ("7", "0"):
+        monkeypatch.setenv("SYLOW_BRANCH_BUDGET", budget)
+        with pytest.raises(orc.BudgetExceeded, match=f"budget {budget}$"):
+            orc.oracle_linear_multiplicity((4,), 2, (0, 0))
+        with pytest.raises(orc.BudgetExceeded, match=f"budget {budget}$"):
+            orc.oracle_full_restriction((4,), 2)
+    for fn in (orc.check_budget, orc.oracle_linear_multiplicity, orc.oracle_full_restriction):
+        assert "budget" not in inspect.signature(fn).parameters, fn.__name__
 
 
 def test_label_class_sums_match_the_element_walk():
@@ -132,7 +142,9 @@ def test_linear_class_sums_match_the_element_signatures():
         assert sum(elements.class_counts(n, p).values()) == orc.sylow_order(n, p), (n, p)
 
 
-def test_linear_oracle_matches_engine_at_bench_sizes():
+def test_linear_oracle_matches_engine_at_bench_sizes(monkeypatch):
+    # |P_32| = 2^31 and |P_27| = 3^13 are over the default budget of 2^20
+    monkeypatch.setenv("SYLOW_BRANCH_BUDGET", str(2**31))
     rng = random.Random(20261017)
     for n, p in ((32, 2), (27, 3), (25, 5)):
         # two shapes per size, three labels each: the engine's linear vector
@@ -140,7 +152,7 @@ def test_linear_oracle_matches_engine_at_bench_sizes():
         for la in rng.sample(partitions(n), 2):
             for _ in range(3):
                 psi = tuple(tuple(rng.randrange(p) for _ in range(h)) for h in sylow_shape(n, p))
-                got = orc.oracle_linear_multiplicity(la, p, psi, budget=orc.sylow_order(n, p))
+                got = orc.oracle_linear_multiplicity(la, p, psi)
                 assert got == engine.sbc(la, p, psi), (la, psi)
 
 
@@ -261,11 +273,11 @@ def test_full_oracle_on_sampled_shapes_of_twenty_five():
         assert orc.oracle_full_restriction(la, 5) == engine.restrict_tower(la, 5, 2), la
 
 
-def test_full_oracle_on_sampled_shapes_of_twenty_seven():
+def test_full_oracle_on_sampled_shapes_of_twenty_seven(monkeypatch):
     # |P_27| = 3^13 is over the default budget of 2^20
-    budget = orc.sylow_order(27, 3)
+    monkeypatch.setenv("SYLOW_BRANCH_BUDGET", str(orc.sylow_order(27, 3)))
     for la in random.Random(20261017).sample(partitions(27), 2):
-        assert orc.oracle_full_restriction(la, 3, budget=budget) == engine.restrict_tower(la, 3, 3), la
+        assert orc.oracle_full_restriction(la, 3) == engine.restrict_tower(la, 3, 3), la
 
 
 def test_plethysm_oracle_classics():

@@ -246,6 +246,20 @@ def test_two_block_pairs_keys_are_the_six_families():
         assert set(two_block_pairs(k)) == _six_families(k), k
 
 
+def test_two_block_pairs_bounds_k_before_listing():
+    # the table holds about 1.5 * 2^k members of up to 2^k parts (k = 13 took
+    # a 401 MB peak), so k passes check_power first; (3, 2, 2) is neither a
+    # hook nor an almost hook, so exceptional_shape reaches the table
+    for k in (13, 10**8):
+        for call in (
+            lambda: two_block_pairs(k),
+            lambda: closedform.exceptional_shape(k, (3, 2, 2)),
+            lambda: closedform.witness_pair(k, (3, 2, 2)),
+        ):
+            with pytest.raises(ValueError, match=f"exceeds {CACHE_MAX_SIZE}"):
+                call()
+
+
 def test_exceptional_family_closed_under_stated_conjugates():
     # the family is not conjugation-closed in general, but the two boundary
     # members are conjugate to each other

@@ -370,8 +370,9 @@ def test_sylow_elements_composite_n():
 
 
 def test_budget_enforced(monkeypatch):
+    monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "100")
     with pytest.raises(orc.BudgetExceeded):
-        orc.check_budget(16, 2, budget=100)
+        orc.check_budget(16, 2)
     monkeypatch.setenv("SYLOW_BRANCH_BUDGET", "4")
     with pytest.raises(orc.BudgetExceeded):
         orc.check_budget(4, 2)
